@@ -2,8 +2,8 @@
 
 Core surface: the permutation type with validation, enumeration and uniform
 sampling; the statistic triangle built by two independent recurrences;
-Sturm-chain certificates that each generating polynomial has distinct real
-non-positive roots and that consecutive ones interlace; and exact moment
+sign-alternation certificates that each generating polynomial has distinct
+real non-positive roots and that consecutive ones interlace; and exact moment
 identities with measured convergence of the standardized statistic to the
 normal distribution.
 """
@@ -40,11 +40,8 @@ from .sturm import (
     CertificationError,
     InterlaceCertificate,
     RealRootCertificate,
-    SturmChain,
     certify_real_roots,
-    count_real_roots,
     interlace_certificate,
-    sturm_chain,
 )
 from .triangle import (
     ModeReport,
@@ -72,10 +69,8 @@ __all__ = [
     "SplitMix64",
     "StatCounts",
     "StirlingPermutation",
-    "SturmChain",
     "brute_force_triangle",
     "certify_real_roots",
-    "count_real_roots",
     "descent_polynomial",
     "double_factorial",
     "enumerate_permutations",
@@ -91,7 +86,6 @@ __all__ = [
     "sample_statistic_histogram",
     "sample_uniform",
     "second_moments_by_recurrence",
-    "sturm_chain",
     "sum_identity_check",
     "triangle_row",
     "triangle_rows",

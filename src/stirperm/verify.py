@@ -41,8 +41,8 @@ _FULL = {
     "polynomial_orders": 200,
     "wilf_orders": 60,
     "mode_orders": 200,
-    "certify_orders": 60,
-    "interlace_orders": 30,
+    "certify_orders": 100,
+    "interlace_orders": 100,
     "moment_orders": 1000,
     "brute_moment_orders": 7,
     "indicator_orders": 6,
@@ -229,9 +229,12 @@ def _suite_realroots(p) -> list[CheckResult]:
 def _suite_interlace(p) -> list[CheckResult]:
     results = []
     for n in range(2, p["interlace_orders"] + 1):
-        cert = sturm.interlace_certificate(n)
-        tag = f"n={n}" + (f": {cert.failure}" if cert.failure else "")
-        results.append((tag, cert.verified))
+        try:
+            cert = sturm.interlace_certificate(n)
+        except sturm.CertificationError as exc:
+            results.append((f"n={n}: {exc.report}", False))
+            continue
+        results.append((f"n={n}", cert.verified))
     return [
         CheckResult(
             "interlace",

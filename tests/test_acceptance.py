@@ -88,14 +88,14 @@ def test_criterion_04_real_roots_and_interlacing():
             and len(cert.isolating_intervals) == n
         )
     interlace_ok = all(
-        interlace_certificate(n).verified for n in range(2, 31)
+        interlace_certificate(n).verified for n in range(2, 61)
     )
     elapsed = time.monotonic() - start
     _criterion(
         4,
         roots_ok and interlace_ok and elapsed < 600.0,
         f"n distinct real non-positive roots for n<=60 and interlacing "
-        f"for n<=30 ({elapsed:.1f}s)",
+        f"for n<=60 ({elapsed:.1f}s)",
     )
 
 

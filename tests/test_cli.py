@@ -199,3 +199,44 @@ def test_output_file_writing(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "n,i,count\n1,1,1\n2,1,1\n2,2,2\n"
+
+
+@pytest.mark.parametrize("width", ["0", "-1/8"])
+def test_roots_nonpositive_width_is_usage_error(capsys, width):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--n", "3", f"--width={width}"])
+    assert exc.value.code == 2
+    assert "positive rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["triangle", "--n-max", "3", "--out"],
+        ["triangle", "--n-max", "3", "--cache"],
+        ["roots", "--n", "3", "--out"],
+    ],
+)
+def test_unwritable_path_is_one_line_error_exit_two(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(target) in err
+
+
+def test_roots_order_cap_refuses_before_work(capsys, monkeypatch):
+    from stirperm import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("certifier called above the order cap")
+
+    monkeypatch.setattr(cli.sturm, "certify_real_roots", no_work)
+    monkeypatch.setattr(cli.sturm, "interlace_certificate", no_work)
+    code, out, err = run(
+        capsys, "roots", "--n", str(cli.ROOTS_ORDER_CAP + 1), "--interlace"
+    )
+    assert code == 3
+    assert out == ""
+    assert "resource refusal" in err

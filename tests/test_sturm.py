@@ -1,23 +1,26 @@
+import functools
 from fractions import Fraction
 
 import pytest
 
+from sturm_oracle import (
+    SturmChain,
+    count_real_roots,
+    isolate_roots,
+    pseudo_remainder,
+    refine_interval,
+    root_magnitude_bound,
+)
+
 from stirperm.polynomial import IntPolynomial
 from stirperm.sturm import (
     CertificationError,
-    SturmChain,
     certify_real_roots,
-    count_real_roots,
     interlace_certificate,
     interlace_certificate_json,
-    isolate_roots,
-    pseudo_remainder,
     real_root_certificate_json,
-    refine_interval,
-    root_magnitude_bound,
-    sturm_chain,
 )
-from stirperm.triangle import descent_polynomial
+from stirperm.triangle import descent_polynomial, triangle_row
 
 X = IntPolynomial([0, 1])
 
@@ -60,25 +63,25 @@ def test_pseudo_remainder_has_exact_remainder_signs(a, b):
 
 
 def test_chain_of_x():
-    chain = sturm_chain(X)
+    chain = SturmChain(X)
     assert [p.coefficients for p in chain.polynomials] == [(0, 1), (1,)]
 
 
 def test_chain_of_squarefree_quadratic_ends_in_constant():
-    chain = sturm_chain(IntPolynomial([0, 1, 2]))  # x(2x + 1), distinct roots
+    chain = SturmChain(IntPolynomial([0, 1, 2]))  # x(2x + 1), distinct roots
     assert chain.is_squarefree()
     assert chain.polynomials[-1].degree() == 0
 
 
 def test_chain_of_repeated_root_ends_above_constant():
-    chain = sturm_chain(IntPolynomial([0, 0, 1]))  # x^2
+    chain = SturmChain(IntPolynomial([0, 0, 1]))  # x^2
     assert not chain.is_squarefree()
     assert chain.polynomials[-1].degree() == 1
 
 
 def test_chain_rejects_zero():
     with pytest.raises(ValueError):
-        sturm_chain(IntPolynomial())
+        SturmChain(IntPolynomial())
 
 
 def test_count_real_roots_examples():
@@ -167,17 +170,37 @@ def test_certificate_range_small():
 def test_certification_failure_reports_structure(monkeypatch):
     import stirperm.sturm as sturm_module
 
+    real = descent_polynomial
+    # x (1 + x)(1 + x^2): degree 4 like P_4, but two of its roots are complex
+    fake = IntPolynomial([0, 1, 1, 1, 1])
     monkeypatch.setattr(
-        sturm_module, "descent_polynomial", lambda n: IntPolynomial([1, 0, 1])
+        sturm_module, "descent_polynomial", lambda n: fake if n == 4 else real(n)
     )
-    sturm_module._chain_for_order.cache_clear()
+    monkeypatch.setattr(sturm_module, "_WITNESSES", {})
     with pytest.raises(CertificationError) as exc:
         certify_real_roots(4)
-    assert exc.value.report["stage"] == "distinct real root count"
-    assert exc.value.report["expected"] == 4
-    assert exc.value.report["observed"] == 0
-    monkeypatch.undo()
-    sturm_module._chain_for_order.cache_clear()
+    report = exc.value.report
+    assert set(report) == {"order", "stage", "expected", "observed"}
+    assert report["order"] == 4
+    assert report["stage"] == "signs around root 1 of P_(n-1) / x"
+    assert report["expected"] == [1, 1]
+    assert report["observed"] == [-1, -1]
+
+
+def test_verify_reports_failed_certificate_instead_of_raising(monkeypatch):
+    import stirperm.sturm as sturm_module
+    from stirperm import verify
+
+    real = descent_polynomial
+    fake = IntPolynomial([0, 1, 1, 1, 1])  # as in the test above
+    monkeypatch.setattr(
+        sturm_module, "descent_polynomial", lambda n: fake if n == 4 else real(n)
+    )
+    monkeypatch.setattr(sturm_module, "_WITNESSES", {})
+    for suite in ("realroots", "interlace"):
+        (result,) = verify.run_suite(suite, quick=True)
+        assert not result.passed
+        assert result.detail.startswith("first failure: n=4: ")
 
 
 def test_interlace_vacuous_at_order_two():
@@ -211,6 +234,7 @@ def test_interlace_rejects_tiny_order():
 
 
 def test_float_root_finder_diagnostic_agrees():
+    # numpy's float roots against the Sturm oracle, a diagnostic for both
     numpy = pytest.importorskip("numpy")
     for n in range(1, 17):
         p = descent_polynomial(n)
@@ -234,3 +258,72 @@ def test_certificate_json_shape():
     inter = json.loads(interlace_certificate_json(interlace_certificate(3)))
     assert inter["n"] == 3 and inter["verified"] is True
     assert len(inter["witnesses"]) == 2
+
+
+# --- independent replay of the certificates ----------------------------------
+
+def _value(coefficients, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
+def _sign(q) -> int:
+    return (q > 0) - (q < 0)
+
+
+def test_replay_certificates_through_order_one_hundred():
+    """Re-check every certificate for n <= 100 with Fraction arithmetic on
+    the entry recurrence's row, sharing no code with the certifier."""
+    for n in range(1, 101):
+        row = triangle_row(n)
+        sign_p = functools.cache(lambda x: _sign(_value((0,) + row, x)))  # P_n
+        sign_r = functools.cache(lambda x: _sign(_value(row, x)))  # P_n / x
+        intervals = certify_real_roots(n).isolating_intervals
+        assert len(intervals) == n
+        for k, (lo, hi) in enumerate(intervals):
+            assert lo < hi <= 0
+            assert k == 0 or intervals[k - 1][1] <= lo
+            assert sign_p(lo) != 0
+            assert sign_p(hi) == 0 or sign_p(lo) != sign_p(hi), (n, k)
+        if n < 2:
+            continue
+        witnesses = interlace_certificate(n).witnesses
+        assert len(witnesses) == (0 if n == 2 else n - 1)
+        for k, w in enumerate(witnesses):
+            assert w.lower < w.upper <= 0
+            assert k == 0 or witnesses[k - 1].upper < w.lower
+            assert w.sign_at_lower == sign_r(w.lower)
+            assert w.sign_at_upper == sign_r(w.upper)
+            assert w.sign_at_lower * w.sign_at_upper == -1
+            assert w.root_count == 1
+
+
+def test_oracle_counts_one_root_per_interval_and_gap():
+    for n in range(1, 31):
+        chain = SturmChain(descent_polynomial(n))
+        for lo, hi in certify_real_roots(n).isolating_intervals:
+            assert chain.count_roots(lo, hi) == 1
+        if n < 3:
+            continue
+        cur = SturmChain(descent_polynomial(n).divide_by_x())
+        prev = SturmChain(descent_polynomial(n - 1).divide_by_x())
+        witnesses = interlace_certificate(n).witnesses
+        for w in witnesses:
+            assert cur.count_roots(w.lower, w.upper) == 1
+            assert prev.count_roots(w.lower, w.upper) == 0
+        for left, right in zip(witnesses, witnesses[1:]):
+            assert prev.count_roots(left.upper, right.lower) == 1
+
+
+def test_width_refinement_keeps_one_root_per_interval():
+    width = Fraction(1, 1000)
+    p = descent_polynomial(12)
+    chain = SturmChain(p)
+    cert = certify_real_roots(12, width=width)
+    for lo, hi in cert.isolating_intervals:
+        assert 0 < hi - lo <= width
+        assert chain.count_roots(lo, hi) == 1
+    with pytest.raises(ValueError):
+        certify_real_roots(3, width=Fraction(0))
