@@ -13,6 +13,7 @@ JSON; any decimal shown sits next to its exact form, never instead of it.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -29,15 +30,24 @@ from .permutations import (
 from .rng import SplitMix64
 from .special import normal_pdf
 
-#: Largest order accepted for exact distribution distances (the triangle
-#: build is quadratic in the order).
-EXACT_DISTANCE_ORDER_CAP = 5000
-
-#: Largest order accepted by ``roots``. A cold ``roots --n 200 --interlace``
-#: takes about 30 s (2-core host, 21 MiB peak), and the cost grows like n^5.
+# Order caps, each measured cold at the cap on a 2-core, 7 GiB host; a
+# request above its cap exits 3 before any work.
+#: ``normality`` (exact distance or plots) and ``mode`` build one row in
+#: about n^3.3 bit operations, holding two rows: at n = 2000 / 3000 they take
+#: 4.6 / 16 s with 27 / 42 MiB peak RSS.
+EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
+#: The polynomial memo keeps orders 1..n, n^3 bits: ``poly --n 1000`` peaks
+#: at 394 MiB, and with ``--wilf`` at 405 MiB after 160 s.
+POLY_ORDER_CAP = 1000
+#: Rows stream (26 MiB at the cap), but the text is about n^3 digits:
+#: ``triangle --n-max 1000`` writes 813 MB of JSON in 30 s.
+TRIANGLE_ORDER_CAP = 1000
+#: ``roots --n 200 --interlace`` takes about 30 s (21 MiB peak); the cost
+#: grows like n^5.
 ROOTS_ORDER_CAP = 200
 
 _ORACLE_ORDER_CAP = 8
+_SAMPLE_CHUNK_LINES = 4096
 
 
 class UsageError(Exception):
@@ -82,12 +92,22 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
+def _refuse_above(order: int, cap: int, what: str) -> None:
+    if order > cap:
+        raise ResourceLimitExceeded(f"{what} refused above order {cap}")
+
+
 def _write(out_path, text: str) -> None:
+    _write_chunks(out_path, (text,))
+
+
+def _write_chunks(out_path, chunks) -> None:
+    """Write each chunk as it is produced; output never sits whole in memory."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _add_common(parser, fmt=True, out=True) -> None:
@@ -114,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true",
         help="also enumerate (orders <= 8) and compare; exit 1 on mismatch",
     )
-    p.add_argument("--cache", help="triangle cache file to reuse/refresh")
     _add_common(p)
 
     p = sub.add_parser("poly", help="generating polynomial of one row")
@@ -171,24 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_triangle(args) -> int:
-    rows = None
-    if args.cache:
-        try:
-            cached = triangle.load_triangle_cache(args.cache)
-            if len(cached) >= args.n_max:
-                rows = cached[: args.n_max]
-        except (OSError, ValueError):
-            rows = None
-    if rows is None:
-        rows = triangle.triangle_rows(args.n_max)
-        if args.cache:
-            triangle.save_triangle_cache(args.cache, args.n_max)
+    _refuse_above(args.n_max, TRIANGLE_ORDER_CAP, "triangle")
     if args.oracle:
         for n in range(1, min(args.n_max, _ORACLE_ORDER_CAP) + 1):
+            row = triangle.triangle_row(n)
             expected = brute_force_triangle(n, args.stat)
-            if tuple(rows[n - 1]) != expected:
+            if row != expected:
                 sys.stderr.write(
-                    f"oracle disagreement at n={n}: recurrence {rows[n - 1]} "
+                    f"oracle disagreement at n={n}: recurrence {row} "
                     f"vs enumeration {expected}\n"
                 )
                 return 1
@@ -196,20 +205,15 @@ def _cmd_triangle(args) -> int:
             f"oracle agreement for {args.stat}, n <= "
             f"{min(args.n_max, _ORACLE_ORDER_CAP)}\n"
         )
-    if args.format == "json":
-        text = _json_dumps([list(row) for row in rows])
-    else:
-        lines = ["n,i,count"]
-        for n, row in enumerate(rows, start=1):
-            lines.extend(f"{n},{i},{c}" for i, c in enumerate(row, start=1))
-        text = "\n".join(lines) + "\n"
-    _write(args.out, text)
+    writer = triangle.triangle_json if args.format == "json" else triangle.triangle_csv
+    _write_chunks(args.out, writer(args.n_max))
     return 0
 
 
 def _cmd_poly(args) -> int:
     if args.format == "csv" and (args.wilf or args.eval is not None):
         raise UsageError("--wilf and --eval need --format json")
+    _refuse_above(args.n, POLY_ORDER_CAP, "generating polynomial")
     poly = triangle.descent_polynomial(args.n)
     if args.format == "csv":
         lines = ["i,coefficient"]
@@ -232,10 +236,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    if args.n > ROOTS_ORDER_CAP:
-        raise ResourceLimitExceeded(
-            f"root certification refused above order {ROOTS_ORDER_CAP}"
-        )
+    _refuse_above(args.n, ROOTS_ORDER_CAP, "root certification")
     if args.interlace and args.n < 2:
         raise UsageError("--interlace needs --n >= 2")
     try:
@@ -291,13 +292,11 @@ def _cmd_normality(args) -> int:
         raise UsageError("--samples requires --seed (no ambient randomness)")
     if args.no_exact and args.samples is None:
         raise UsageError("--no-exact without --samples leaves nothing to do")
+    if not args.no_exact or args.plot_out or args.plot_normal_out:
+        what = "exact distance or plot (--no-exact --samples has no cap)"
+        _refuse_above(args.n, EXACT_DISTANCE_ORDER_CAP, what)
     payload = _moments_payload(args.n)
     if not args.no_exact:
-        if args.n > EXACT_DISTANCE_ORDER_CAP:
-            raise ResourceLimitExceeded(
-                f"exact distance refused above order {EXACT_DISTANCE_ORDER_CAP}; "
-                "use --no-exact with --samples"
-            )
         payload["ks_exact"] = distribution.ks_distance_exact(args.n)
     if args.samples is not None:
         payload["ks_empirical"] = distribution.ks_distance_empirical(
@@ -311,8 +310,8 @@ def _cmd_normality(args) -> int:
         if args.plot_out:
             lines = ["t,density"]
             lines.extend(
-                f"{t!r},{float(p) * sigma!r}"
-                for t, p in zip(dist.standardized_support, dist.pmf)
+                f"{t!r},{c / dist.population * sigma!r}"
+                for t, c in zip(dist.standardized_support, dist.counts)
             )
             _write(args.plot_out, "\n".join(lines) + "\n")
         if args.plot_normal_out:
@@ -343,6 +342,7 @@ def _cmd_normality(args) -> int:
 
 
 def _cmd_mode(args) -> int:
+    _refuse_above(args.n, MODE_ORDER_CAP, "mode")
     report = triangle.locate_mode(args.n)
     if args.format == "json":
         payload = {
@@ -367,16 +367,17 @@ def _cmd_mode(args) -> int:
 
 def _cmd_sample(args) -> int:
     rng = SplitMix64(args.seed)
-    lines = []
+    words = (sample_word(args.n, rng) for _ in range(args.count))
     if args.stats:
-        lines.append("ascents,descents,plateaux")
-        for _ in range(args.count):
-            s = word_statistics(sample_word(args.n, rng))
-            lines.append(f"{s.ascents},{s.descents},{s.plateaux}")
+        stats = map(word_statistics, words)
+        lines = itertools.chain(
+            ["ascents,descents,plateaux\n"],
+            (f"{s.ascents},{s.descents},{s.plateaux}\n" for s in stats),
+        )
     else:
-        for _ in range(args.count):
-            lines.append(format_word(sample_word(args.n, rng)))
-    _write(args.out, "\n".join(lines) + "\n")
+        lines = (format_word(w) + "\n" for w in words)
+    chunks = iter(lambda: "".join(itertools.islice(lines, _SAMPLE_CHUNK_LINES)), "")
+    _write_chunks(args.out, chunks)
     return 0
 
 

@@ -191,14 +191,20 @@ def indicator_pair_step_checks(n: int) -> bool:
 
 @dataclass(frozen=True)
 class NormalizedDistribution:
-    """Exact pmf of the statistic on values 1..n, with the standardized
+    """Exact law of the statistic on values 1..n: the triangle row
+    ``counts`` over ``population`` = (2n - 1)!!, with the standardized
     support points (value - mean)/sigma."""
 
     order: int
-    pmf: tuple[Fraction, ...]
+    counts: tuple[int, ...]
+    population: int
     mean: Fraction
     variance: Fraction
     standardized_support: tuple[float, ...]
+
+    @property
+    def pmf(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.population) for c in self.counts)
 
 
 def _standardized_point(value: int, mean: Fraction, variance: Fraction) -> float:
@@ -214,29 +220,37 @@ def normalized_distribution(n: int) -> NormalizedDistribution:
         raise ValueError(
             f"order must be >= 2 to standardize (variance is 0 at 1), got {n}"
         )
-    row = triangle_row(n)
-    population = double_factorial(n)
-    pmf = tuple(Fraction(c, population) for c in row)
     m = moments_exact(n)
     support = tuple(
         _standardized_point(k, m.mean, m.variance) for k in range(1, n + 1)
     )
-    return NormalizedDistribution(n, pmf, m.mean, m.variance, support)
+    return NormalizedDistribution(
+        n, triangle_row(n), double_factorial(n), m.mean, m.variance, support
+    )
+
+
+def _sup_distance(counts, total: int, support) -> float:
+    """Sup distance between the step CDF with mass count/total at each
+    standardized point and the standard normal CDF, evaluated from both
+    sides of every jump. Int true division of the integer prefix sums rounds
+    each exact CDF value correctly, as float(Fraction) would."""
+    worst = 0.0
+    seen = 0
+    for count, t in zip(counts, support):
+        if count:
+            phi = normal_cdf(t)
+            below = abs(seen / total - phi)
+            seen += count
+            above = abs(seen / total - phi)
+            worst = max(worst, below, above)
+    return worst
 
 
 def ks_distance_exact(n: int) -> float:
     """Sup distance between the standardized exact distribution's step CDF
-    and the standard normal CDF, evaluated from both sides of every jump."""
+    and the standard normal CDF."""
     dist = normalized_distribution(n)
-    worst = 0.0
-    cumulative = Fraction(0)
-    for weight, t in zip(dist.pmf, dist.standardized_support):
-        phi = normal_cdf(t)
-        below = abs(float(cumulative) - phi)
-        cumulative += weight
-        above = abs(float(cumulative) - phi)
-        worst = max(worst, below, above)
-    return worst
+    return _sup_distance(dist.counts, dist.population, dist.standardized_support)
 
 
 def sample_statistic_histogram(
@@ -276,14 +290,5 @@ def ks_distance_empirical(n: int, samples: int, seed: int) -> float:
         raise ValueError(f"order must be >= 2 to standardize, got {n}")
     histogram = sample_statistic_histogram(n, samples, seed)
     m = moments_exact(n)
-    worst = 0.0
-    seen = 0
-    for value in range(1, n + 1):
-        if histogram[value] == 0:
-            continue
-        phi = normal_cdf(_standardized_point(value, m.mean, m.variance))
-        below = abs(seen / samples - phi)
-        seen += histogram[value]
-        above = abs(seen / samples - phi)
-        worst = max(worst, below, above)
-    return worst
+    support = (_standardized_point(k, m.mean, m.variance) for k in range(1, n + 1))
+    return _sup_distance(histogram[1:], samples, support)

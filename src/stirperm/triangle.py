@@ -11,19 +11,22 @@ can check the other:
 
 Row n counts Stirling permutations of order n by number of descents
 (equally: plateaux, or ascents) of the statistic value i = 1..n; it sums to
-(2n - 1)!!. Rows and polynomials are memoized for the lifetime of the
-process.
+(2n - 1)!!. Only the last row returned is remembered, so a run of calls in
+ascending order costs one recurrence step each and memory stays at two
+rows. The polynomials are memoized for the lifetime of the process, because
+the certifier works on consecutive orders.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import IntPolynomial
 
-_ROWS: list[tuple[int, ...]] = [(1,)]
+_last_row: tuple[int, ...] = (1,)
 _POLYS: list[IntPolynomial] = [IntPolynomial((0, 1))]
 
 _X = IntPolynomial((0, 1))
@@ -32,25 +35,26 @@ _ONE_MINUS_X = IntPolynomial((1, -1))
 
 
 def triangle_row(n: int) -> tuple[int, ...]:
-    """Entries (T(n,1), ..., T(n,n)) by the integer recurrence."""
+    """Entries (T(n,1), ..., T(n,n)) by the integer recurrence, extended from
+    the last row returned when its order is at most n, else from row 1."""
+    global _last_row
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    while len(_ROWS) < n:
-        prev = _ROWS[-1]
-        m = len(_ROWS) + 1
-        row = []
-        for i in range(1, m + 1):
-            keep = i * prev[i - 1] if i <= len(prev) else 0
-            carry = (2 * m - i) * prev[i - 2] if i >= 2 else 0
-            row.append(keep + carry)
-        _ROWS.append(tuple(row))
-    return _ROWS[n - 1]
+    row = _last_row if len(_last_row) <= n else (1,)
+    for m in range(len(row) + 1, n + 1):
+        row = tuple(
+            i * a + (2 * m - i) * b
+            for i, a, b in zip(range(1, m + 1), row + (0,), (0,) + row)
+        )
+    _last_row = row
+    return row
 
 
 def triangle_rows(n_max: int) -> list[tuple[int, ...]]:
-    """Rows 1..n_max."""
-    triangle_row(n_max)
-    return _ROWS[:n_max]
+    """Rows 1..n_max, in a new list."""
+    if n_max < 1:
+        raise ValueError(f"order must be >= 1, got {n_max}")
+    return [triangle_row(n) for n in range(1, n_max + 1)]
 
 
 def descent_polynomial(n: int) -> IntPolynomial:
@@ -129,12 +133,15 @@ def locate_mode(n: int) -> ModeReport:
 
 # --- export formats ---------------------------------------------------------
 
-def triangle_csv(n_max: int) -> str:
-    lines = ["n,i,count"]
-    for n, row in enumerate(triangle_rows(n_max), start=1):
-        for i, count in enumerate(row, start=1):
-            lines.append(f"{n},{i},{count}")
-    return "\n".join(lines) + "\n"
+def triangle_csv(n_max: int) -> Iterator[str]:
+    """Rows 1..n_max as CSV text with header ``n,i,count``, one row per chunk."""
+    if n_max < 1:
+        raise ValueError(f"order must be >= 1, got {n_max}")
+    yield "n,i,count\n"
+    for n in range(1, n_max + 1):
+        yield "".join(
+            f"{n},{i},{c}\n" for i, c in enumerate(triangle_row(n), start=1)
+        )
 
 
 def parse_triangle_csv(text: str) -> list[tuple[int, ...]]:
@@ -152,29 +159,14 @@ def parse_triangle_csv(text: str) -> list[tuple[int, ...]]:
     return out
 
 
-def triangle_json(n_max: int) -> str:
-    rows = [list(row) for row in triangle_rows(n_max)]
-    return json.dumps(rows, separators=(",", ":")) + "\n"
+def triangle_json(n_max: int) -> Iterator[str]:
+    """Rows 1..n_max as a compact JSON array of arrays, one row per chunk."""
+    if n_max < 1:
+        raise ValueError(f"order must be >= 1, got {n_max}")
+    for n in range(1, n_max + 1):
+        yield ("[[" if n == 1 else ",[") + ",".join(map(str, triangle_row(n))) + "]"
+    yield "]\n"
 
 
 def parse_triangle_json(text: str) -> list[tuple[int, ...]]:
     return [tuple(row) for row in json.loads(text)]
-
-
-def save_triangle_cache(path: str, n_max: int) -> None:
-    """Cache file: one line per row, space-separated decimal integers, the
-    first integer being the row length n (which length-prefixes the rest)."""
-    with open(path, "w", encoding="ascii") as fh:
-        for row in triangle_rows(n_max):
-            fh.write(" ".join([str(len(row))] + [str(c) for c in row]) + "\n")
-
-
-def load_triangle_cache(path: str) -> list[tuple[int, ...]]:
-    rows: list[tuple[int, ...]] = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = [int(tok) for tok in line.split()]
-            if not parts or parts[0] != len(parts) - 1 or parts[0] != lineno:
-                raise ValueError(f"corrupt triangle cache at line {lineno}")
-            rows.append(tuple(parts[1:]))
-    return rows

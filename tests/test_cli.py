@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -34,15 +35,6 @@ def test_triangle_json_round_trips_byte_identical(capsys):
     assert code == 0
     parsed = json.loads(out)
     assert json.dumps(parsed, sort_keys=True, separators=(",", ":")) + "\n" == out
-
-
-def test_triangle_cache_reuse(tmp_path, capsys):
-    cache = tmp_path / "triangle.cache"
-    code, first, _ = run(capsys, "triangle", "--n-max", "9", "--cache", str(cache))
-    assert code == 0 and cache.exists()
-    code, second, _ = run(capsys, "triangle", "--n-max", "9", "--cache", str(cache))
-    assert code == 0
-    assert first == second
 
 
 def test_poly_json_with_checks(capsys):
@@ -213,7 +205,7 @@ def test_roots_nonpositive_width_is_usage_error(capsys, width):
     "argv",
     [
         ["triangle", "--n-max", "3", "--out"],
-        ["triangle", "--n-max", "3", "--cache"],
+        ["sample", "--n", "3", "--seed", "1", "--out"],
         ["roots", "--n", "3", "--out"],
     ],
 )
@@ -240,3 +232,36 @@ def test_roots_order_cap_refuses_before_work(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "resource refusal" in err
+
+
+def _refuse_all_work(*args, **kwargs):
+    raise AssertionError("work started above the order cap")
+
+
+@pytest.mark.parametrize(
+    "cap,argv,work",
+    [
+        ("POLY_ORDER_CAP", ["poly", "--n"], ["descent_polynomial"]),
+        ("TRIANGLE_ORDER_CAP", ["triangle", "--n-max"],
+         ["triangle_row", "triangle_csv", "triangle_json"]),
+        ("MODE_ORDER_CAP", ["mode", "--n"], ["locate_mode", "triangle_row"]),
+        ("EXACT_DISTANCE_ORDER_CAP", ["normality", "--n"], ["triangle_row"]),
+        # a plot needs the exact row even when the distance is Monte-Carlo
+        ("EXACT_DISTANCE_ORDER_CAP",
+         ["normality", "--no-exact", "--samples", "10", "--seed", "1",
+          "--plot-out", os.devnull, "--n"],
+         ["triangle_row"]),
+    ],
+    ids=["poly", "triangle", "mode", "normality", "normality-plot"],
+)
+def test_order_caps_refuse_before_work(capsys, monkeypatch, cap, argv, work):
+    from stirperm import cli
+
+    for name in work:
+        monkeypatch.setattr(cli.triangle, name, _refuse_all_work)
+    monkeypatch.setattr(cli.distribution, "triangle_row", _refuse_all_work)
+    code, out, err = run(capsys, *argv, str(getattr(cli, cap) + 1))
+    assert code == 3
+    assert out == ""
+    assert "resource refusal" in err
+

@@ -18,6 +18,7 @@ from stirperm.distribution import (
 )
 from stirperm.permutations import enumerate_words, sample_word, word_statistics
 from stirperm.rng import SplitMix64
+from stirperm.special import normal_cdf
 from stirperm.verify import GOLDEN_KS_EXACT
 
 
@@ -124,6 +125,7 @@ def test_normalized_distribution_small_orders():
     assert d2.pmf == (Fraction(1, 3), Fraction(2, 3))
     d3 = normalized_distribution(3)
     assert d3.pmf == (Fraction(1, 15), Fraction(8, 15), Fraction(6, 15))
+    assert (d3.counts, d3.population) == ((1, 8, 6), 15)
     for n in (2, 5, 40):
         assert sum(normalized_distribution(n).pmf) == 1
     with pytest.raises(ValueError):
@@ -146,6 +148,28 @@ def test_ks_exact_order_two_against_two_atom_oracle():
         phi(t1), abs(1 / 3 - phi(t1)), abs(1 / 3 - phi(t2)), abs(1 - phi(t2))
     )
     assert abs(ks_distance_exact(2) - oracle) < 1e-12
+
+
+def _ks_fraction_reference(n):
+    """The exact distance from a Fraction pmf: each running Fraction CDF
+    value is converted to float where it meets the normal CDF."""
+    dist = normalized_distribution(n)
+    worst = 0.0
+    cumulative = Fraction(0)
+    for weight, t in zip(dist.pmf, dist.standardized_support):
+        phi = normal_cdf(t)
+        below = abs(float(cumulative) - phi)
+        cumulative += weight
+        above = abs(float(cumulative) - phi)
+        worst = max(worst, below, above)
+    return worst
+
+
+@pytest.mark.parametrize("n", [*range(2, 61), 400])
+def test_ks_exact_bit_identical_to_fraction_reference(n):
+    # int true division and float(Fraction) both round the exact quotient
+    # correctly, so the integer prefix sums lose nothing
+    assert ks_distance_exact(n).hex() == _ks_fraction_reference(n).hex()
 
 
 def test_ks_exact_golden_values_and_decrease():
@@ -197,9 +221,16 @@ def test_ks_empirical_tracks_exact_at_order_fifty():
 
 def test_ks_empirical_large_order_beyond_exact_reach():
     # at order 1000 the distance must have fallen below the exact value at
-    # order 200 by a clear margin over sampling noise
-    emp = ks_distance_empirical(1000, 20_000, seed=23)
+    # order 200 by a clear margin over sampling noise. Order 1000 is within
+    # exact reach too, so the estimate must also sit in the
+    # Dvoretzky-Kiefer-Wolfowitz band (alpha = 1e-6) around the exact value:
+    # two sup distances to the normal CDF differ by at most the sup distance
+    # between the empirical and the exact CDF
+    samples = 20_000
+    emp = ks_distance_empirical(1000, samples, seed=23)
     assert emp < GOLDEN_KS_EXACT[200]
+    epsilon = math.sqrt(math.log(2 / 1e-6) / (2 * samples))
+    assert abs(emp - ks_distance_exact(1000)) <= epsilon
 
 
 def test_ks_empirical_validates_inputs():

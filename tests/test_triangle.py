@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,9 @@ from stirperm.permutations import brute_force_triangle
 from stirperm.polynomial import IntPolynomial, double_factorial
 from stirperm.triangle import (
     descent_polynomial,
-    load_triangle_cache,
     locate_mode,
     parse_triangle_csv,
     parse_triangle_json,
-    save_triangle_cache,
     triangle_csv,
     triangle_json,
     triangle_row,
@@ -33,6 +32,23 @@ def test_rows_list_shape():
     assert len(rows) == 6
     assert [len(r) for r in rows] == [1, 2, 3, 4, 5, 6]
     assert all(c > 0 for r in rows for c in r)
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        range(1, 41),
+        range(40, 0, -1),
+        [7, 7, 7, 30, 30, 1, 1, 40],
+        [20, 3, 21, 2, 40, 19, 22, 1, 39, 38, 5, 40],
+    ],
+    ids=["ascending", "descending", "repeated", "interleaved"],
+)
+def test_rows_independent_of_call_order(orders):
+    expected = triangle_rows(40)
+    for n in orders:
+        assert triangle_row(n) == expected[n - 1]
+        assert triangle_row(n) == descent_polynomial(n).coefficients[1:]
 
 
 def test_polynomial_first_orders():
@@ -108,25 +124,21 @@ def test_mode_two_case_pattern_medium_range():
 
 
 def test_csv_export_and_round_trip():
-    text = triangle_csv(2)
+    text = "".join(triangle_csv(2))
     assert text == "n,i,count\n1,1,1\n2,1,1\n2,2,2\n"
     rows = parse_triangle_csv(text)
     assert rows == [(1,), (1, 2)]
-    again = triangle_csv(2)
+    again = "".join(triangle_csv(2))
     assert again == text  # byte-identical re-emission
 
 
 def test_json_export_and_round_trip():
-    text = triangle_json(4)
+    text = "".join(triangle_json(4))
     rows = parse_triangle_json(text)
     assert rows == list(triangle_rows(4))
-    assert triangle_json(4) == text
+    assert "".join(triangle_json(4)) == text
+    # the streamed text is what one json.dumps of the whole list gives
+    rows = triangle_rows(30)
+    expected = json.dumps([list(r) for r in rows], separators=(",", ":")) + "\n"
+    assert "".join(triangle_json(30)) == expected
 
-
-def test_cache_file_round_trip(tmp_path):
-    path = tmp_path / "rows.cache"
-    save_triangle_cache(path, 12)
-    assert load_triangle_cache(path) == list(triangle_rows(12))
-    path.write_text("2 1 2\n")  # wrong length prefix for line 1
-    with pytest.raises(ValueError):
-        load_triangle_cache(path)
