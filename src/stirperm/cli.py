@@ -129,7 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="statistic triangle rows 1..n")
     p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--stat", choices=STAT_LABELS, default="descents")
+    p.add_argument(
+        "--stat", choices=STAT_LABELS, default="descents",
+        help="statistic the --oracle enumeration counts; the printed rows are "
+        "the same for all three, which are equidistributed",
+    )
     p.add_argument(
         "--oracle", action="store_true",
         help="also enumerate (orders <= 8) and compare; exit 1 on mismatch",

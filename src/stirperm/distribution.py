@@ -271,13 +271,12 @@ def sample_statistic_histogram(
         raise ValueError(f"order must be >= 1, got {n}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    rng = SplitMix64(seed)
-    below = rng.below
     histogram = [0] * (n + 1)
-    for _ in range(samples):
+    # step k = 1..n-1 inserts into the 2k + 1 gaps of an order-k word
+    for gaps in SplitMix64(seed).below_each(range(3, 2 * n, 2), samples):
         count = 1
-        for k in range(1, n):
-            if below(2 * k + 1) >= count:
+        for gap in gaps:
+            if gap >= count:
                 count += 1
         histogram[count] += 1
     return tuple(histogram)

@@ -5,16 +5,52 @@ This is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014). The state is one
 output is that state pushed through two xor-shift-multiply rounds. It is
 used instead of the interpreter's ambient generator so that every sampled
 object is bit-reproducible from its integer seed, on any platform, forever.
+
+``below_each`` draws many bounded values at once. Draw j after state s has
+state s + j*GAMMA, so the mixing of a whole block of draws needs no loop:
+each draw is a 128-bit lane of one Python int, every lane is xor-shifted
+and multiplied by the same big-integer operations, and masking each
+shifted value and each product to the lanes' low 64 bits keeps lanes from
+leaking into each other. The values and the final state are exactly those
+of the same calls to ``below``, so seed streams do not depend on which of
+the two a caller uses.
 """
 
 from __future__ import annotations
+
+import sys
+from collections.abc import Iterable, Iterator
+from functools import cache
 
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_WORKER_SALT = 0xD6E8FEB86659FD93
+
+_BLOCK = 2048  # raw outputs per big-integer evaluation
+
+
+@cache
+def _lanes() -> tuple[int, int, int]:
+    """Lane j (bits 128j..128j+127) of each: 1, 2^64 - 1 and (j + 1)*GAMMA.
+    Built from bytes on first use, so importing the module stays cheap."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * _BLOCK, "little")
+    steps = b"".join(j.to_bytes(16, "little") for j in range(1, _BLOCK + 1))
+    return ones, ones * MASK64, _GAMMA * int.from_bytes(steps, "little")
+
+
+def _block(state: int) -> list[int]:
+    """The next _BLOCK outputs of a generator in ``state``, in draw order."""
+    ones, mask, strides = _lanes()
+    z = (state * ones + strides) & mask
+    z = ((z ^ ((z >> 30) & mask)) * _MIX1) & mask
+    z = ((z ^ ((z >> 27) & mask)) * _MIX2) & mask
+    z ^= (z >> 31) & mask
+    words = memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")
+    # each lane's low word: first of its pair little-endian, else second,
+    # with the lanes themselves in reverse order
+    return (words[::2] if sys.byteorder == "little" else words[::-2]).tolist()
 
 
 class SplitMix64:
@@ -42,18 +78,40 @@ class SplitMix64:
             if z < limit:
                 return z % bound
 
+    def below_each(
+        self, bounds: Iterable[int], times: int
+    ) -> Iterator[list[int]]:
+        """Yield ``times`` lists, each equal to ``[self.below(b) for b in
+        bounds]``, leaving ``self.state`` where those calls would have left
+        it before each list is yielded.
 
-def derive_worker_seed(seed: int, worker: int) -> int:
-    """Independent per-worker seed rule for parallel sampling.
-
-    Worker w draws the (w+1)-th output of a SplitMix64 stream salted with a
-    fixed constant. Documented so that parallel runs can merge results
-    deterministically; nothing in this package spawns workers itself.
-    """
-    if worker < 0:
-        raise ValueError("worker index must be non-negative")
-    stream = SplitMix64(seed ^ _WORKER_SALT)
-    value = 0
-    for _ in range(worker + 1):
-        value = stream.next_uint64()
-    return value
+        Raw outputs are computed a block at a time (see the module
+        docstring) and buffered across lists. A list whose outputs include
+        one at or above the smallest rejection limit, which happens with
+        probability below len(bounds) * max(bounds) / 2^64, is drawn by
+        ``below`` itself, so rejection follows one rule.
+        """
+        bounds = tuple(bounds)
+        for bound in bounds:
+            if bound <= 0:
+                raise ValueError(f"bound must be positive, got {bound}")
+        floor = min((((1 << 64) // b) * b for b in bounds), default=1 << 64)
+        width = len(bounds)
+        raw, used, head = [], 0, self.state  # head: the state after raw[-1]
+        left = self.state  # where the last list left the generator
+        for _ in range(times):
+            if self.state != left:  # drawn from elsewhere meanwhile
+                raw, used, head = [], 0, self.state
+            while len(raw) - used < width:
+                raw = raw[used:] + _block(head)
+                used, head = 0, (head + _BLOCK * _GAMMA) & MASK64
+            chunk = raw[used : used + width]
+            if max(chunk, default=0) >= floor:
+                draws = [self.below(b) for b in bounds]
+                raw, used, head = [], 0, self.state
+            else:
+                draws = [z % b for z, b in zip(chunk, bounds)]
+                used += width
+                self.state = (head - (len(raw) - used) * _GAMMA) & MASK64
+            left = self.state
+            yield draws

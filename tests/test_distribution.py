@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -203,6 +205,19 @@ def test_statistic_histogram_is_deterministic():
     assert a == (0,) * 2 + a[2:]  # counts 0 and 1 are unreachable for n=20
     golden = sample_statistic_histogram(5, 20, seed=99)
     assert golden == (0, 0, 1, 6, 7, 6)
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        ((300, 200, 7), "69142038be5dc1672e0ffcdf762ed5ffebce8ae7242048c462b46168595d9714"),
+        ((1000, 50, 23), "b90ff110bfa56dcff6a079b116ada913114390a5183c939782f8bcc109c2fd02"),
+    ],
+)
+def test_statistic_histogram_frozen_digests(args, digest):
+    # sha256 of json.dumps(list(histogram)), frozen from the scalar sampler
+    histogram = sample_statistic_histogram(*args)
+    assert hashlib.sha256(json.dumps(list(histogram)).encode()).hexdigest() == digest
 
 
 def test_ks_empirical_determinism_and_convergence_small_order():

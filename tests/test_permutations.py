@@ -16,7 +16,7 @@ from stirperm.permutations import (
     word_statistics,
 )
 from stirperm.polynomial import double_factorial
-from stirperm.rng import SplitMix64
+from stirperm.rng import MASK64, SplitMix64
 
 
 def test_validate_accepts_all_of_order_two():
@@ -159,10 +159,16 @@ def test_sampler_is_deterministic_and_valid():
 
 
 def test_sampler_stream_advances():
+    # an order-4 word takes n - 1 = 3 gap draws (none rejected on this seed),
+    # and the next word continues the stream from where the first left it
+    gamma = 0x9E3779B97F4A7C15  # the documented per-draw state increment
     rng = SplitMix64(7)
     first = sample_word(4, rng)
+    after_first = rng.state
+    assert after_first == (7 + 3 * gamma) & MASK64
     second = sample_word(4, rng)
-    assert first != second or True  # streams may collide; just must not reset
+    assert rng.state == (7 + 6 * gamma) & MASK64
+    assert sample_word(4, SplitMix64(after_first)) == second
     rng2 = SplitMix64(7)
     assert sample_word(4, rng2) == first
 
