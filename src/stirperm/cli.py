@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Commands: triangle, poly, roots, moments, normality, mode, sample, verify.
-Exit codes: 0 ok, 1 verification or certification failure, 2 usage error,
-3 resource refusal. Every command is deterministic given its full flag set;
-sampling commands require an explicit --seed (there is no ambient
-randomness anywhere in the package).
+Exit codes: 0 ok, 1 verification or certification failure, 2 usage error
+(an unwritable output path included), 3 resource refusal. A reader that
+closes stdout early, as ``| head`` does, ends the command silently with
+exit 0. Every command is deterministic given its full flag set; sampling
+commands require an explicit --seed (there is no ambient randomness
+anywhere in the package).
 
 Exact rationals are rendered as "num/den" in CSV and as [num, den] pairs in
 JSON; any decimal shown sits next to its exact form, never instead of it.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,9 +45,9 @@ POLY_ORDER_CAP = 1000
 #: Rows stream (26 MiB at the cap), but the text is about n^3 digits:
 #: ``triangle --n-max 1000`` writes 813 MB of JSON in 30 s.
 TRIANGLE_ORDER_CAP = 1000
-#: ``roots --n 200 --interlace`` takes about 30 s (21 MiB peak); the cost
-#: grows like n^5.
-ROOTS_ORDER_CAP = 200
+#: ``roots --n 300 --interlace`` takes 27-32 s (31 MiB peak), and 200 / 250
+#: take 6.9 / 17 s; the cost grows like n^4.
+ROOTS_ORDER_CAP = 300
 
 _ORACLE_ORDER_CAP = 8
 _SAMPLE_CHUNK_LINES = 4096
@@ -145,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wilf", action="store_true",
                    help="include the product-derivative identity check (json only)")
     p.add_argument("--eval", type=_parse_fraction, metavar="RAT",
-                   help="also evaluate at this rational point (json only)")
+                   help="also evaluate at this rational point (json only); "
+                   "write a negative one as --eval=-1/2, since -1/2 alone reads as an option")
     _add_common(p)
 
     p = sub.add_parser("roots", help="real-rootedness certificate (json)")
@@ -416,7 +420,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return status
+    except BrokenPipeError:  # the reader has gone: not an error of ours
+        # stdout to devnull, so the interpreter's last flush is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except ResourceLimitExceeded as exc:

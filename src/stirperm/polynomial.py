@@ -43,12 +43,6 @@ class IntPolynomial:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":
-        if degree < 0:
-            raise ValueError("monomial degree must be non-negative")
-        return cls((0,) * degree + (coefficient,))
-
     @property
     def coefficients(self) -> tuple[int, ...]:
         return self._coeffs
@@ -62,9 +56,6 @@ class IntPolynomial:
 
     def leading_coefficient(self) -> int:
         return self._coeffs[-1] if self._coeffs else 0
-
-    def constant_coefficient(self) -> int:
-        return self._coeffs[0] if self._coeffs else 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPolynomial):
@@ -163,18 +154,24 @@ class IntPolynomial:
     def sign_at(self, numerator: int, denominator: int = 1) -> int:
         """Exact sign of the value at numerator/denominator (denominator > 0).
 
-        Works homogeneously in integers, avoiding Fraction normalization on
-        the hot path of sign-variation counting.
+        Homogeneous Horner in integers. With denominator = odd * 2^s, the
+        term of x^i is scaled by odd^(d-i), a running product skipped when
+        odd is 1, and shifted left by s(d-i) bits: at a dyadic point the
+        only multiplications are the accumulator's by the numerator.
         """
         if denominator <= 0:
             raise ValueError("denominator must be positive")
         if not self._coeffs:
             return 0
-        acc = self._coeffs[-1]
-        power = 1
-        for i in range(len(self._coeffs) - 2, -1, -1):
-            power *= denominator
-            acc = acc * numerator + self._coeffs[i] * power
+        s = (denominator & -denominator).bit_length() - 1
+        odd = denominator >> s
+        acc, power, shift = self._coeffs[-1], 1, 0
+        for c in reversed(self._coeffs[:-1]):
+            shift += s
+            if odd > 1:
+                power *= odd
+                c *= power
+            acc = acc * numerator + (c << shift)
         return (acc > 0) - (acc < 0)
 
     def sign_towards_infinity(self, positive: bool) -> int:

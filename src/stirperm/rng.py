@@ -69,9 +69,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform draw from range(bound), modulo bias removed by rejection."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform draw from range(bound), modulo bias removed by rejection;
+        1 <= bound <= 2^64, since one 64-bit draw must cover the range."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in 1..2^64, got {bound}")
         limit = ((1 << 64) // bound) * bound
         while True:
             z = self.next_uint64()
@@ -93,8 +94,8 @@ class SplitMix64:
         """
         bounds = tuple(bounds)
         for bound in bounds:
-            if bound <= 0:
-                raise ValueError(f"bound must be positive, got {bound}")
+            if not 0 < bound <= 1 << 64:
+                raise ValueError(f"bound must be in 1..2^64, got {bound}")
         floor = min((((1 << 64) // b) * b for b in bounds), default=1 << 64)
         width = len(bounds)
         raw, used, head = [], 0, self.state  # head: the state after raw[-1]

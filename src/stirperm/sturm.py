@@ -3,13 +3,23 @@ non-positive roots and that the roots of consecutive ones interlace.
 
 The proof is sign alternation plus the degree count: R_n = P_n / x has
 degree n - 1, so if it strictly alternates in sign (each sign exact, by
-``sign_at``) at n rationals -B_n = t_0 < ... < t_(n-1) = 0, each bracket
+``sign_at``) at n rationals t_0 < ... < t_(n-1) = 0, each bracket
 (t_j, t_(j+1)) holds exactly one root of R_n. After the source paper's
 induction, bracket j of order n-1, around a root of R_(n-1), is bisected on
 the sign of R_(n-1) until R_n has at both ends the sign wanted at t_j. Its
 lower end is then t_j, it separates that root from those of R_n, and R_n
 changes sign across each gap between separators: by the degree count again,
 the roots of R_n and R_(n-1) strictly interlace. No floats appear.
+
+Every point is a dyadic rational a / 2^k, held as the integer pair (a, k)
+while witnesses are built. A bracket is split at a power of two when its
+ends lie more than two binades apart, else at the dyadic with the fewest
+bits in its middle half; both come from bit lengths and one xor. t_0 is a
+power of two, doubled from order n-1's until R_n has the right sign, and
+at most the first power of two at or above Cauchy's root bound. Signs are
+taken at denominator 2^k, where ``sign_at`` shifts instead of multiplying.
+Points become ``Fraction`` only when a certificate is built; the midpoints
+that ``width`` refinement adds are dyadic too.
 """
 
 from __future__ import annotations
@@ -23,8 +33,11 @@ from .triangle import descent_polynomial
 
 _GUARD = 256  # bisection steps around one root before declaring failure
 
+#: a dyadic rational a / 2^k as the pair (a, k), a odd unless k == 0
+Dyadic = tuple[int, int]
+
 #: order -> (points t_j, upper ends of the separators); filled in order
-_WITNESSES: dict[int, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = {}
+_WITNESSES: dict[int, tuple[tuple[Dyadic, ...], tuple[Dyadic, ...]]] = {}
 
 
 class CertificationError(RuntimeError):
@@ -40,48 +53,49 @@ def _fail(order: int, stage: str, expected, observed):
     raise CertificationError(report)
 
 
-def _sign(p: IntPolynomial, x: Fraction) -> int:
-    return p.sign_at(x.numerator, x.denominator)
+def _sign(p: IntPolynomial, x: Dyadic) -> int:
+    return p.sign_at(x[0], 1 << x[1])
 
 
-def _floor_log2(q: Fraction) -> int:  # q > 0
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    return e if Fraction(2) ** e <= q else e - 1
+def _fraction(x: Dyadic) -> Fraction:
+    return Fraction(x[0], 1 << x[1])
 
 
-def _split(lo: Fraction, hi: Fraction) -> Fraction:
+def _split(lo: Dyadic, hi: Dyadic) -> Dyadic:
     """A point inside (lo, hi), lo < hi <= 0: a power of two across more than
-    two binades, else the smallest-denominator rational in the middle half."""
-    if hi == 0 or lo < 4 * hi:
-        a = _floor_log2(-lo)
-        b = _floor_log2(-hi) if hi else min(-1, 3 * a - 3)  # as if hi were tiny
-        return -Fraction(2) ** ((a + b + 1) // 2)
-    # continued fractions of [x, y], the negated middle half
-    x, y = (3 * hi + lo) / -4, (hi + 3 * lo) / -4
-    terms = []
-    while (whole := x.numerator // x.denominator) != x and whole + 1 > y:
-        terms.append(whole)
-        x, y = 1 / (y - whole), 1 / (x - whole)
-    simplest = Fraction(whole if whole == x else whole + 1)
-    for whole in reversed(terms):
-        simplest = whole + 1 / simplest
-    return -simplest
+    two binades, else the shortest dyadic in the middle half."""
+    (a, j), (b, k) = lo, hi
+    e = max(j, k)
+    lo_e, hi_e = a << (e - j), b << (e - k)  # both ends over 2^e
+    if b == 0 or lo_e < 4 * hi_e:
+        top = (-a).bit_length() - 1 - j  # floor(log2(-lo))
+        low = (-b).bit_length() - 1 - k if b else min(-1, 3 * top - 3)  # as if hi were tiny
+        half = (top + low + 1) // 2
+        return (-(1 << half), 0) if half >= 0 else (-1, -half)
+    # magnitudes of the middle half's ends, over 2^(e+2): u < v
+    u, v = -(lo_e + 3 * hi_e), -(3 * lo_e + hi_e)
+    d = (u ^ v).bit_length() - 1  # the highest bit in which they differ
+    num, exp = -(v >> d), e + 2 - d  # v with every bit below d cleared
+    return (num, exp) if exp >= 0 else (num << -exp, 0)
 
 
-def _witnesses(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def _witnesses(n: int) -> tuple[tuple[Dyadic, ...], tuple[Dyadic, ...]]:
     """Points t_j of order n and the upper ends of the separators at them."""
     for m in range(len(_WITNESSES) + 1, n + 1):
         cur = descent_polynomial(m).divide_by_x()
         if cur.degree() != m - 1:
             _fail(m, "degree of P_n / x", m - 1, cur.degree())
         if m == 1:
-            _WITNESSES[1] = (Fraction(0),), ()
+            _WITNESSES[1] = ((0, 0),), ()
             continue
         prev, below = descent_polynomial(m - 1).divide_by_x(), _WITNESSES[m - 1][0]
-        cauchy = 1 + Fraction(max(map(abs, cur.coefficients)), abs(cur.coefficients[-1]))
-        t_0 = below[0] or Fraction(-1)
-        while t_0 > -cauchy and _sign(cur, t_0) != (-1) ** (m - 1):
-            t_0 = max(2 * t_0, -cauchy)  # each root r of R_n has |r| < cauchy
+        # each root r of R_n has |r| < 1 + biggest / lead <= 2^e = cap
+        lead = abs(cur.coefficients[-1])
+        biggest = max(map(abs, cur.coefficients))
+        cap = 1 << (-(-biggest // lead)).bit_length()
+        t_0 = below[0][0] or -1  # -2^e: order n-1's t_0, or -1 at order 2
+        while -t_0 < cap and _sign(cur, (t_0, 0)) != (-1) ** (m - 1):
+            t_0 *= 2
         at_below, separators = [_sign(cur, x) for x in below], []
         for j in range(1, m - 1):
             # R_(n-1): one root in ends, sign `want` at ends[0] (R_n's at the root)
@@ -99,10 +113,10 @@ def _witnesses(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
             else:
                 _fail(m, f"signs around root {j} of P_(n-1) / x", [want, want], at)
             separators.append(ends)
-        for x, want in ((t_0, (-1) ** (m - 1)), (Fraction(0), 1)):
+        for x, want in (((t_0, 0), (-1) ** (m - 1)), ((0, 0), 1)):
             if (observed := _sign(cur, x)) != want:
-                _fail(m, f"sign of P_n / x at {x}", want, observed)
-        points = (t_0, *(lo for lo, _ in separators), Fraction(0))
+                _fail(m, f"sign of P_n / x at {_fraction(x)}", want, observed)
+        points = ((t_0, 0), *(lo for lo, _ in separators), (0, 0))
         _WITNESSES[m] = points, tuple(hi for _, hi in separators)
     return _WITNESSES[n]
 
@@ -124,16 +138,20 @@ def certify_real_roots(n: int, width: Fraction | None = None) -> RealRootCertifi
     if n < 1 or (width is not None and width <= 0):
         raise ValueError(f"need order >= 1 and width > 0, got {n} and {width}")
     points, p = _witnesses(n)[0], descent_polynomial(n)
-    k = 0 if n == 1 else max(0, 1 - _floor_log2(-points[-2]))
-    while _sign(p, -Fraction(1, 2**k)) >= 0:  # P_n = x R_n: R_n(u) > 0
+    k = 0  # first try k = 1 - floor(log2(-t_(n-2))), t_(n-2) = a / 2^j
+    if n > 1:
+        a, j = points[-2]
+        k = max(0, j + 2 - (-a).bit_length())
+    while _sign(p, (-1, k)) >= 0:  # P_n = x R_n: R_n(u) > 0
         k += 1
-    ends = points[:-1] + (-Fraction(1, 2**k), Fraction(0))
+    ends = [_fraction(x) for x in points[:-1] + ((-1, k), (0, 0))]
     intervals = list(zip(ends, ends[1:]))
     for i, (lo, hi) in enumerate(intervals if width is not None else ()):
-        s_lo = _sign(p, lo)
+        s_lo = p.sign_at(lo.numerator, lo.denominator)
         while hi - lo > width:  # one root stays in (lo, hi], P_n(lo) != 0
             mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if _sign(p, mid) == s_lo else (lo, mid)
+            s_mid = p.sign_at(mid.numerator, mid.denominator)
+            lo, hi = (mid, hi) if s_mid == s_lo else (lo, mid)
         intervals[i] = (lo, hi)
     return RealRootCertificate(n, n, True, True, tuple(intervals))
 
@@ -165,7 +183,7 @@ def interlace_certificate(n: int) -> InterlaceCertificate:
         return InterlaceCertificate(order=2, verified=True, witnesses=())
     points, uppers = _witnesses(n)
     witnesses = tuple(
-        GapWitness(lo, hi, (-1) ** (n - 1 - g), (-1) ** (n - 2 - g), 1)
+        GapWitness(_fraction(lo), _fraction(hi), (-1) ** (n - 1 - g), (-1) ** (n - 2 - g), 1)
         for g, (lo, hi) in enumerate(zip(points[:1] + uppers, points[1:]))
     )
     return InterlaceCertificate(n, True, witnesses)

@@ -41,8 +41,8 @@ _FULL = {
     "polynomial_orders": 200,
     "wilf_orders": 60,
     "mode_orders": 200,
-    "certify_orders": 100,
-    "interlace_orders": 100,
+    "certify_orders": 130,
+    "interlace_orders": 130,
     "moment_orders": 1000,
     "brute_moment_orders": 7,
     "indicator_orders": 6,

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stirperm
 from stirperm.cli import main
 
 
@@ -52,6 +56,26 @@ def test_poly_csv_flags_need_json(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["poly", "--n", "3", "--wilf", "--format", "csv"])
     assert exc.value.code == 2
+
+
+def test_poly_negative_eval_in_equals_form(capsys):
+    # "--eval -1/2" would read -1/2 as an option; -1/2 is a root of P_2
+    code, out, _ = run(capsys, "poly", "--n", "2", "--eval=-1/2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["evaluation"] == {"point": [-1, 2], "value": [0, 1]}
+
+
+def test_closed_stdout_pipe_exits_zero_silently():
+    env = dict(os.environ, PYTHONPATH=str(Path(stirperm.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stirperm", "triangle", "--n-max", "300"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n,i,count\n"
+    proc.stdout.close()  # megabytes of rows are still to come
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_roots_certificate_known_intervals(capsys):

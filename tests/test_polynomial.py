@@ -86,6 +86,20 @@ def test_sign_at_matches_eval():
     for num, den in ((0, 1), (1, 1), (-1, 1), (1, 2), (-7, 10), (5, 7)):
         value = p(Fraction(num, den))
         assert p.sign_at(num, den) == (value > 0) - (value < 0)
+    # degree 34, roots at -3/8, -5/12 and 7/3 among others
+    tail = IntPolynomial([(-1) ** i * (i * i + 1) for i in range(32)])
+    q = IntPolynomial([3, 8]) * IntPolynomial([5, 12]) * IntPolynomial([-7, 3]) * tail
+    numerators = (0, 1, -1, -3, -5, 7, 2**40 + 1, -(3**30))
+    denominators = (1, 2, 8, 2**45, 3, 12, 3 * 2**33, 7, 101, 3**21)
+    near_roots = [(-3 * 2**57 + e, 2**60) for e in (-1, 1)]
+    near_roots += [(-5 * 2**50 + e, 3 * 2**52) for e in (-1, 1)]
+    points = [(n, d) for n in numerators for d in denominators] + near_roots
+    for num, den in points:
+        value = q(Fraction(num, den))
+        assert q.sign_at(num, den) == (value > 0) - (value < 0), (num, den)
+    roots = [(-3, 8), (-5, 12), (7, 3), (-3 * 2**40, 2**43), (-5 * 2**30, 3 * 2**32)]
+    for num, den in roots + [(14, 6), (7 * 3**20, 3**21)]:  # lowest terms or not
+        assert q.sign_at(num, den) == 0, (num, den)
 
 
 def test_sign_towards_infinity():

@@ -66,3 +66,20 @@ def test_kernel_rejects_nonpositive_bounds_before_drawing(bounds):
     with pytest.raises(ValueError):
         next(rng.below_each(bounds, 1))
     assert rng.state == 5
+
+
+def test_bound_above_two_to_the_64_raises_before_drawing():
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError):
+        rng.below(2**64 + 1)
+    assert rng.state == 5
+    with pytest.raises(ValueError):
+        next(rng.below_each([3, 2**64 + 1], 1))
+    assert rng.state == 5
+
+
+def test_bound_two_to_the_64_returns_the_raw_output():
+    rng, raw = SplitMix64(7), SplitMix64(7)
+    for _ in range(3):
+        assert rng.below(2**64) == raw.next_uint64()
+        assert rng.state == raw.state

@@ -317,6 +317,17 @@ def test_oracle_counts_one_root_per_interval_and_gap():
             assert prev.count_roots(left.upper, right.lower) == 1
 
 
+def test_certificate_points_are_dyadic():
+    def dyadic(q):
+        return q.denominator & (q.denominator - 1) == 0
+
+    for n in range(1, 61):
+        for lo, hi in certify_real_roots(n).isolating_intervals:
+            assert dyadic(lo) and dyadic(hi), (n, lo, hi)
+        for w in interlace_certificate(n).witnesses if n > 1 else ():
+            assert dyadic(w.lower) and dyadic(w.upper), (n, w)
+
+
 def test_width_refinement_keeps_one_root_per_interval():
     width = Fraction(1, 1000)
     p = descent_polynomial(12)
