@@ -29,7 +29,6 @@ from .permutations import (
     StatCounts,
     StirlingPermutation,
     brute_force_triangle,
-    enumerate_permutations,
     enumerate_words,
     sample_uniform,
     word_statistics,
@@ -46,10 +45,10 @@ from .sturm import (
 from .triangle import (
     ModeReport,
     descent_polynomial,
+    gessel_stanley_check,
     locate_mode,
     triangle_row,
     triangle_rows,
-    wilf_form_check,
 )
 
 __version__ = "0.1.0"
@@ -73,8 +72,8 @@ __all__ = [
     "certify_real_roots",
     "descent_polynomial",
     "double_factorial",
-    "enumerate_permutations",
     "enumerate_words",
+    "gessel_stanley_check",
     "indicator_pair_step_checks",
     "interlace_certificate",
     "ks_distance_empirical",
@@ -89,6 +88,5 @@ __all__ = [
     "sum_identity_check",
     "triangle_row",
     "triangle_rows",
-    "wilf_form_check",
     "word_statistics",
 ]

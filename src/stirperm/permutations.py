@@ -172,13 +172,6 @@ def _insert_all(n: int) -> Iterator[tuple[int, ...]]:
             yield parent[:gap] + pair + parent[gap:]
 
 
-def enumerate_permutations(
-    n: int, max_order: int = MAX_ENUMERATION_ORDER
-) -> Iterator[StirlingPermutation]:
-    for word in enumerate_words(n, max_order):
-        yield StirlingPermutation(n, word)
-
-
 def sample_word(n: int, rng: SplitMix64) -> tuple[int, ...]:
     """One uniform word of order n drawn from ``rng``.
 
@@ -217,6 +210,7 @@ def brute_force_triangle(
     counts = [0] * (n + 1)
     pick = STAT_LABELS.index(stat)
     for word in enumerate_words(n, max_order):
+        # word_statistics inlined: calling it doubles the time (1.0 -> 1.9 s, n <= 7)
         ascents = 1
         descents = 1
         plateaux = 0

@@ -104,19 +104,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "IntPolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = IntPolynomial((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(i * c for i, c in enumerate(self._coeffs) if i)
 

@@ -82,13 +82,15 @@ def _split(lo: Dyadic, hi: Dyadic) -> Dyadic:
 def _witnesses(n: int) -> tuple[tuple[Dyadic, ...], tuple[Dyadic, ...]]:
     """Points t_j of order n and the upper ends of the separators at them."""
     for m in range(len(_WITNESSES) + 1, n + 1):
+        # P_(n-1) first: it is the builder's last result, and P_n one step on
+        prev = descent_polynomial(m - 1).divide_by_x() if m > 1 else None
         cur = descent_polynomial(m).divide_by_x()
         if cur.degree() != m - 1:
             _fail(m, "degree of P_n / x", m - 1, cur.degree())
         if m == 1:
             _WITNESSES[1] = ((0, 0),), ()
             continue
-        prev, below = descent_polynomial(m - 1).divide_by_x(), _WITNESSES[m - 1][0]
+        below = _WITNESSES[m - 1][0]
         # each root r of R_n has |r| < 1 + biggest / lead <= 2^e = cap
         lead = abs(cur.coefficients[-1])
         biggest = max(map(abs, cur.coefficients))

@@ -11,27 +11,29 @@ can check the other:
 
 Row n counts Stirling permutations of order n by number of descents
 (equally: plateaux, or ascents) of the statistic value i = 1..n; it sums to
-(2n - 1)!!. Only the last row returned is remembered, so a run of calls in
-ascending order costs one recurrence step each and memory stays at two
-rows. The polynomials are memoized for the lifetime of the process, because
-the certifier works on consecutive orders.
+(2n - 1)!!. Each builder remembers only the last row or polynomial it
+returned, so a run of calls in ascending order costs one recurrence step
+each and memory stays at two rows. The certifier walks the orders upwards,
+so it asks for P_(n-1) before P_n.
+
+A third route, shared with neither builder, checks the polynomials: Gessel
+and Stanley's definition of P_n through Stirling numbers of the second kind,
+    sum_k S(n+k, k) x^k = P_n(x) / (1 - x)^(2n+1).
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import IntPolynomial
 
-_last_row: tuple[int, ...] = (1,)
-_POLYS: list[IntPolynomial] = [IntPolynomial((0, 1))]
-
 _X = IntPolynomial((0, 1))
 _X_MINUS_X2 = IntPolynomial((0, 1, -1))
-_ONE_MINUS_X = IntPolynomial((1, -1))
+
+_last_row: tuple[int, ...] = (1,)
+_last_poly: IntPolynomial = _X
 
 
 def triangle_row(n: int) -> tuple[int, ...]:
@@ -59,37 +61,42 @@ def triangle_rows(n_max: int) -> list[tuple[int, ...]]:
 
 def descent_polynomial(n: int) -> IntPolynomial:
     """The generating polynomial of row n, built by the derivative
-    recurrence (independent of ``triangle_row``)."""
+    recurrence (independent of ``triangle_row``), extended from the last
+    polynomial returned when its order is at most n, else from P_1."""
+    global _last_poly
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    while len(_POLYS) < n:
-        prev = _POLYS[-1]
-        m = len(_POLYS) + 1
-        _POLYS.append(_X_MINUS_X2 * prev.derivative() + (2 * m - 1) * (_X * prev))
-    return _POLYS[n - 1]
+    poly = _last_poly if _last_poly.degree() <= n else _X
+    for m in range(poly.degree() + 1, n + 1):
+        poly = _X_MINUS_X2 * poly.derivative() + (2 * m - 1) * (_X * poly)
+    _last_poly = poly
+    return poly
 
 
-def wilf_form_check(n: int) -> bool:
-    """Exact identity behind the product-derivative rearrangement of the
-    polynomial recurrence.
+def gessel_stanley_check(n: int) -> bool:
+    """Whether P_n(x) = (1 - x)^(2n+1) sum_k S(n+k, k) x^k, the definition
+    of Gessel and Stanley, with S the Stirling numbers of the second kind.
 
-    The rearrangement itself involves the non-polynomial factor
-    (1 - x)^(1 - 2n), so the check multiplies through by (1 - x)^(2n - 1)
-    and compares integer polynomials:
-
-      P_n(x) (1-x)^(2n-2) = x (1-x)^(2n-1) P_(n-1)'(x)
-                            + (2n-1) x (1-x)^(2n-2) P_(n-1)(x)
+    S(n+k, k) is a polynomial in k of degree 2n, so the series times
+    (1 - x)^(2n+1) is a polynomial of degree at most 2n, and its
+    coefficients 0..2n, which need S(n+k, k) for k = 0..2n only, decide the
+    identity. They must equal those of P_n padded with zeros. The numbers
+    come from S(k+d, k) = k S(k+d-1, k) + S(k+d-1, k-1), raising d from 0
+    to n; only plain ints are used.
     """
-    if n < 2:
-        raise ValueError(f"check needs order >= 2, got {n}")
-    p_prev = descent_polynomial(n - 1)
-    p_cur = descent_polynomial(n)
-    om_small = _ONE_MINUS_X ** (2 * n - 2)
-    lhs = p_cur * om_small
-    rhs = _X * (om_small * _ONE_MINUS_X) * p_prev.derivative() + (
-        (2 * n - 1) * (_X * om_small * p_prev)
-    )
-    return lhs == rhs
+    if n < 1:
+        raise ValueError(f"check needs order >= 1, got {n}")
+    size = 2 * n + 1
+    series = [1] * size  # S(k, k) = 1
+    for _ in range(n):  # S(k+d, k) from S(k+d-1, .), with S(d, 0) = 0
+        series[0] = 0
+        for k in range(1, size):
+            series[k] = k * series[k] + series[k - 1]
+    for _ in range(size):  # times (1 - x), truncated at degree 2n
+        for k in range(size - 1, 0, -1):
+            series[k] -= series[k - 1]
+    coefficients = list(descent_polynomial(n).coefficients)
+    return series == coefficients + [0] * (size - len(coefficients))
 
 
 @dataclass(frozen=True)
@@ -144,21 +151,6 @@ def triangle_csv(n_max: int) -> Iterator[str]:
         )
 
 
-def parse_triangle_csv(text: str) -> list[tuple[int, ...]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "n,i,count":
-        raise ValueError("missing 'n,i,count' header")
-    rows: dict[int, dict[int, int]] = {}
-    for ln in lines[1:]:
-        n_s, i_s, c_s = ln.split(",")
-        rows.setdefault(int(n_s), {})[int(i_s)] = int(c_s)
-    out = []
-    for n in range(1, len(rows) + 1):
-        entries = rows[n]
-        out.append(tuple(entries[i] for i in range(1, n + 1)))
-    return out
-
-
 def triangle_json(n_max: int) -> Iterator[str]:
     """Rows 1..n_max as a compact JSON array of arrays, one row per chunk."""
     if n_max < 1:
@@ -166,7 +158,3 @@ def triangle_json(n_max: int) -> Iterator[str]:
     for n in range(1, n_max + 1):
         yield ("[[" if n == 1 else ",[") + ",".join(map(str, triangle_row(n))) + "]"
     yield "]\n"
-
-
-def parse_triangle_json(text: str) -> list[tuple[int, ...]]:
-    return [tuple(row) for row in json.loads(text)]

@@ -39,7 +39,7 @@ _FULL = {
     "triangle_rows": 200,
     "oracle_orders": 7,
     "polynomial_orders": 200,
-    "wilf_orders": 60,
+    "wilf_orders": 80,
     "mode_orders": 200,
     "certify_orders": 130,
     "interlace_orders": 130,
@@ -82,27 +82,19 @@ class CheckResult:
     detail: str = ""
 
 
-def _first_failure(pairs) -> str:
-    for tag, ok in pairs:
-        if not ok:
-            return f"first failure: {tag}"
-    return ""
+def _check(suite: str, name: str, pairs) -> CheckResult:
+    """Passed when every (tag, ok) pair is ok; the detail names the first
+    failing tag."""
+    failed = next((tag for tag, ok in pairs if not ok), None)
+    detail = "" if failed is None else f"first failure: {failed}"
+    return CheckResult(suite, name, failed is None, detail)
 
 
 def _suite_triangle(p) -> list[CheckResult]:
-    out = []
     sums = [
         (n, sum(triangle.triangle_row(n)) == double_factorial(n))
         for n in range(1, p["triangle_rows"] + 1)
     ]
-    out.append(
-        CheckResult(
-            "triangle",
-            f"row sums equal (2n-1)!! for n <= {p['triangle_rows']}",
-            all(ok for _, ok in sums),
-            _first_failure(sums),
-        )
-    )
     oracle = []
     for n in range(1, p["oracle_orders"] + 1):
         row = triangle.triangle_row(n)
@@ -110,15 +102,6 @@ def _suite_triangle(p) -> list[CheckResult]:
             oracle.append(
                 (f"n={n} {stat}", row == brute_force_triangle(n, stat))
             )
-    out.append(
-        CheckResult(
-            "triangle",
-            "recurrence row = enumeration counts for descents/plateaux/"
-            f"ascents, n <= {p['oracle_orders']}",
-            all(ok for _, ok in oracle),
-            _first_failure(oracle),
-        )
-    )
     agree = []
     ones = []
     means = []
@@ -134,42 +117,10 @@ def _suite_triangle(p) -> list[CheckResult]:
                 == Fraction(2 * n + 1, 3),
             )
         )
-    out.append(
-        CheckResult(
-            "triangle",
-            f"polynomial route matches triangle route, n <= {p['polynomial_orders']}",
-            all(ok for _, ok in agree),
-            _first_failure(agree),
-        )
-    )
-    out.append(
-        CheckResult(
-            "triangle",
-            "value at 1 equals (2n-1)!!",
-            all(ok for _, ok in ones),
-            _first_failure(ones),
-        )
-    )
-    out.append(
-        CheckResult(
-            "triangle",
-            "mean statistic value equals (2n+1)/3 exactly",
-            all(ok for _, ok in means),
-            _first_failure(means),
-        )
-    )
-    wilf = [
-        (f"n={n}", triangle.wilf_form_check(n))
-        for n in range(2, p["wilf_orders"] + 1)
+    series = [
+        (f"n={n}", triangle.gessel_stanley_check(n))
+        for n in range(1, p["wilf_orders"] + 1)
     ]
-    out.append(
-        CheckResult(
-            "triangle",
-            f"cleared-denominator product-derivative identity, n <= {p['wilf_orders']}",
-            all(ok for _, ok in wilf),
-            _first_failure(wilf),
-        )
-    )
     modes = []
     for n in range(1, p["mode_orders"] + 1):
         report = triangle.locate_mode(n)
@@ -179,19 +130,36 @@ def _suite_triangle(p) -> list[CheckResult]:
                 report.within_unit_of_mean and report.argmax_in_predicted,
             )
         )
-    out.append(
-        CheckResult(
+    return [
+        _check("triangle", f"row sums equal (2n-1)!! for n <= {p['triangle_rows']}", sums),
+        _check(
+            "triangle",
+            "recurrence row = enumeration counts for descents/plateaux/"
+            f"ascents, n <= {p['oracle_orders']}",
+            oracle,
+        ),
+        _check(
+            "triangle",
+            f"polynomial route matches triangle route, n <= {p['polynomial_orders']}",
+            agree,
+        ),
+        _check("triangle", "value at 1 equals (2n-1)!!", ones),
+        _check("triangle", "mean statistic value equals (2n+1)/3 exactly", means),
+        _check(
+            "triangle",
+            "Gessel-Stanley series sum_k S(n+k,k) x^k = P_n(x)/(1-x)^(2n+1), "
+            f"n <= {p['wilf_orders']}",
+            series,
+        ),
+        _check(
             "triangle",
             f"peaks within 1 of mean and matching two-case pattern, n <= {p['mode_orders']}",
-            all(ok for _, ok in modes),
-            _first_failure(modes),
-        )
-    )
-    return out
+            modes,
+        ),
+    ]
 
 
 def _suite_realroots(p) -> list[CheckResult]:
-    out = []
     results = []
     for n in range(1, p["certify_orders"] + 1):
         try:
@@ -215,15 +183,13 @@ def _suite_realroots(p) -> list[CheckResult]:
                 and nonpositive,
             )
         )
-    out.append(
-        CheckResult(
+    return [
+        _check(
             "realroots",
             f"n distinct real non-positive roots certified, n <= {p['certify_orders']}",
-            all(ok for _, ok in results),
-            _first_failure(results),
+            results,
         )
-    )
-    return out
+    ]
 
 
 def _suite_interlace(p) -> list[CheckResult]:
@@ -236,17 +202,15 @@ def _suite_interlace(p) -> list[CheckResult]:
             continue
         results.append((f"n={n}", cert.verified))
     return [
-        CheckResult(
+        _check(
             "interlace",
             f"consecutive reduced polynomials strictly interlace, n <= {p['interlace_orders']}",
-            all(ok for _, ok in results),
-            _first_failure(results),
+            results,
         )
     ]
 
 
 def _suite_moments(p) -> list[CheckResult]:
-    out = []
     recurrence = distribution.second_moments_by_recurrence(p["moment_orders"])
     closed = []
     variances = []
@@ -260,22 +224,6 @@ def _suite_moments(p) -> list[CheckResult]:
                 and m.variance == m.second_moment - m.mean**2,
             )
         )
-    out.append(
-        CheckResult(
-            "moments",
-            f"second-moment recurrence equals closed form, n <= {p['moment_orders']}",
-            all(ok for _, ok in closed),
-            _first_failure(closed),
-        )
-    )
-    out.append(
-        CheckResult(
-            "moments",
-            "variance closed form consistent",
-            all(ok for _, ok in variances),
-            _first_failure(variances),
-        )
-    )
     brute = []
     for n in range(1, p["brute_moment_orders"] + 1):
         mean, second = distribution.brute_force_moments(n)
@@ -283,14 +231,6 @@ def _suite_moments(p) -> list[CheckResult]:
         brute.append(
             (f"n={n}", mean == m.mean and second == m.second_moment)
         )
-    out.append(
-        CheckResult(
-            "moments",
-            f"brute-force mean/second moment match, n <= {p['brute_moment_orders']}",
-            all(ok for _, ok in brute),
-            _first_failure(brute),
-        )
-    )
     growth = []
     prev = distribution.moments_exact(2).variance
     for n in range(3, p["moment_orders"] + 1):
@@ -300,43 +240,35 @@ def _suite_moments(p) -> list[CheckResult]:
             ok = ok and var > Fraction(n, 10)
         growth.append((f"n={n}", ok))
         prev = var
-    out.append(
-        CheckResult(
+    return [
+        _check(
+            "moments",
+            f"second-moment recurrence equals closed form, n <= {p['moment_orders']}",
+            closed,
+        ),
+        _check("moments", "variance closed form consistent", variances),
+        _check(
+            "moments",
+            f"brute-force mean/second moment match, n <= {p['brute_moment_orders']}",
+            brute,
+        ),
+        _check(
             "moments",
             f"variance strictly increasing (and > n/10 from 10 on), n <= {p['moment_orders']}",
-            all(ok for _, ok in growth),
-            _first_failure(growth),
-        )
-    )
-    return out
+            growth,
+        ),
+    ]
 
 
 def _suite_identities(p) -> list[CheckResult]:
-    out = []
     steps = [
         (f"n={n}", distribution.indicator_pair_step_checks(n))
         for n in range(1, p["indicator_orders"] + 1)
     ]
-    out.append(
-        CheckResult(
-            "identities",
-            f"insertion-step indicator identities, n <= {p['indicator_orders']}",
-            all(ok for _, ok in steps),
-            _first_failure(steps),
-        )
-    )
     sums = [
         (f"n={n}", distribution.sum_identity_check(n))
         for n in range(1, p["sum_identity_orders"] + 1)
     ]
-    out.append(
-        CheckResult(
-            "identities",
-            f"adjacency probabilities sum to (2n+1)/3, n <= {p['sum_identity_orders']}",
-            all(ok for _, ok in sums),
-            _first_failure(sums),
-        )
-    )
     oracle = []
     for n in range(1, p["plateau_oracle_orders"] + 1):
         singles, _ = distribution.indicator_expectations(n)
@@ -348,15 +280,23 @@ def _suite_identities(p) -> list[CheckResult]:
                     == singles[value],
                 )
             )
-    out.append(
-        CheckResult(
+    return [
+        _check(
+            "identities",
+            f"insertion-step indicator identities, n <= {p['indicator_orders']}",
+            steps,
+        ),
+        _check(
+            "identities",
+            f"adjacency probabilities sum to (2n+1)/3, n <= {p['sum_identity_orders']}",
+            sums,
+        ),
+        _check(
             "identities",
             f"product formula matches enumerated adjacency, n <= {p['plateau_oracle_orders']}",
-            all(ok for _, ok in oracle),
-            _first_failure(oracle),
-        )
-    )
-    return out
+            oracle,
+        ),
+    ]
 
 
 def sampler_uniformity_pvalue(n: int, samples: int, seed: int) -> float:
@@ -386,12 +326,11 @@ def _suite_sampler(p) -> list[CheckResult]:
                 )
             )
     out.append(
-        CheckResult(
+        _check(
             "sampler",
             f"chi-square uniformity at significance {SAMPLER_SIGNIFICANCE}, "
             f"{p['sampler_samples']} samples, seeds {p['sampler_seeds']}",
-            all(ok for _, ok in fits),
-            _first_failure(fits),
+            fits,
         )
     )
     seed = p["sampler_seeds"][0]
@@ -433,12 +372,7 @@ def _suite_clt(p) -> list[CheckResult]:
             if n in GOLDEN_KS_EXACT
         ]
         out.append(
-            CheckResult(
-                "clt",
-                "exact distances match frozen golden values to 1e-9",
-                all(ok for _, ok in golden),
-                _first_failure(golden),
-            )
+            _check("clt", "exact distances match frozen golden values to 1e-9", golden)
         )
     return out
 

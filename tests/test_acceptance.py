@@ -24,9 +24,9 @@ from stirperm.polynomial import double_factorial
 from stirperm.sturm import certify_real_roots, interlace_certificate
 from stirperm.triangle import (
     descent_polynomial,
+    gessel_stanley_check,
     locate_mode,
     triangle_row,
-    wilf_form_check,
 )
 from stirperm.verify import GOLDEN_KS_EXACT, sampler_uniformity_pvalue
 
@@ -71,8 +71,13 @@ def test_criterion_02_recurrences_vs_enumeration():
 
 
 def test_criterion_03_wilf_form():
-    ok = all(wilf_form_check(n) for n in range(2, 61))
-    _criterion(3, ok, "cleared-denominator rearranged identity exact for 2<=n<=60")
+    ok = all(gessel_stanley_check(n) for n in range(2, 201))
+    _criterion(
+        3,
+        ok,
+        "Gessel-Stanley series sum_k S(n+k,k) x^k = P_n(x)/(1-x)^(2n+1) "
+        "exact for 2<=n<=200",
+    )
 
 
 def test_criterion_04_real_roots_and_interlacing():

@@ -52,6 +52,21 @@ def test_poly_json_with_checks(capsys):
     assert payload["evaluation"] == {"point": [1, 1], "value": [945, 1]}
 
 
+def test_poly_series_check_at_order_one(capsys):
+    code, out, _ = run(capsys, "poly", "--n", "1", "--wilf", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 1, "coefficients": [0, 1], "wilf_identity": True}
+
+
+def test_poly_and_triangle_caps_print_within_int_str_limit():
+    # P_n(1) = (2n-1)!! bounds every coefficient; str() raises past the limit
+    from stirperm import cli
+    from stirperm.polynomial import double_factorial
+
+    str(double_factorial(cli.POLY_ORDER_CAP))
+    str(double_factorial(cli.TRIANGLE_ORDER_CAP))
+
+
 def test_poly_csv_flags_need_json(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["poly", "--n", "3", "--wilf", "--format", "csv"])

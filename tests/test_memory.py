@@ -46,6 +46,16 @@ def test_exact_distance_and_mode_at_order_1200_stay_small():
     assert peak < 128
 
 
+def test_polynomial_and_series_check_at_order_600_stay_small():
+    # a memo of P_1..P_600 plus the cleared Wilf form peaked at 98 MiB
+    peak = _peak_mib(
+        "from stirperm.triangle import descent_polynomial, gessel_stanley_check\n"
+        "descent_polynomial(600)\n"
+        "assert gessel_stanley_check(600)\n"
+    )
+    assert peak < 40
+
+
 def test_sample_memory_flat_in_count():
     def sample(count):
         return _peak_mib(

@@ -3,19 +3,31 @@ from fractions import Fraction
 
 import pytest
 
+from stirperm import triangle
 from stirperm.permutations import brute_force_triangle
 from stirperm.polynomial import IntPolynomial, double_factorial
 from stirperm.triangle import (
     descent_polynomial,
+    gessel_stanley_check,
     locate_mode,
-    parse_triangle_csv,
-    parse_triangle_json,
     triangle_csv,
     triangle_json,
     triangle_row,
     triangle_rows,
-    wilf_form_check,
 )
+
+
+def parse_triangle_csv(text: str) -> list[tuple[int, ...]]:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "n,i,count":
+        raise ValueError("missing 'n,i,count' header")
+    rows: dict[int, dict[int, int]] = {}
+    for ln in lines[1:]:
+        n_s, i_s, c_s = ln.split(",")
+        rows.setdefault(int(n_s), {})[int(i_s)] = int(c_s)
+    return [
+        tuple(rows[n][i] for i in range(1, n + 1)) for n in range(1, len(rows) + 1)
+    ]
 
 
 def test_first_rows():
@@ -76,25 +88,37 @@ def test_exact_mean_from_polynomial():
 
 
 def test_wilf_identity_small_and_medium():
-    assert wilf_form_check(2)
-    assert wilf_form_check(3)
-    assert wilf_form_check(6)
-    assert all(wilf_form_check(n) for n in range(2, 31))
+    assert gessel_stanley_check(2)
+    assert gessel_stanley_check(3)
+    assert gessel_stanley_check(6)
+    assert all(gessel_stanley_check(n) for n in range(2, 31))
     with pytest.raises(ValueError):
-        wilf_form_check(1)
+        gessel_stanley_check(0)
 
 
 def test_wilf_identity_order_two_expands_by_hand():
-    # both sides of the cleared identity at order 2 equal (2x^2+x)(1-x)^2
-    expected = IntPolynomial([0, 1, 2]) * IntPolynomial([1, -1]) ** 2
-    lhs = descent_polynomial(2) * IntPolynomial([1, -1]) ** 2
-    rhs = IntPolynomial([0, 1]) * IntPolynomial([1, -1]) ** 3 * descent_polynomial(
-        1
-    ).derivative() + 3 * (
-        IntPolynomial([0, 1]) * IntPolynomial([1, -1]) ** 2 * descent_polynomial(1)
-    )
-    assert lhs == expected
-    assert rhs == expected
+    # S(2+k, k) for k = 0..4 is 0, 1, 7, 25, 65; times (1 - x)^5 this is
+    # x + 2x^2 + 0x^3 + 0x^4 up to degree 4, which is P_2 padded with zeros
+    series = IntPolynomial([0, 1, 7, 25, 65])
+    product = series * IntPolynomial([1, -5, 10, -10, 5, -1])  # (1 - x)^5
+    assert product.coefficients[:5] == (0, 1, 2, 0, 0)
+    assert descent_polynomial(2) == IntPolynomial([0, 1, 2])
+    assert gessel_stanley_check(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_gessel_stanley_check_rejects_a_wrong_polynomial(monkeypatch, n):
+    coefficients = list(descent_polynomial(n).coefficients)
+    off_by_one = coefficients.copy()
+    off_by_one[n // 2 + 1] += 1
+    extra_term = coefficients + [1]  # degree n + 1
+    for wrong in (off_by_one, extra_term):
+        monkeypatch.setattr(
+            triangle, "descent_polynomial", lambda _, w=wrong: IntPolynomial(w)
+        )
+        assert not gessel_stanley_check(n)
+    monkeypatch.undo()
+    assert gessel_stanley_check(n)
 
 
 @pytest.mark.parametrize(
@@ -134,7 +158,7 @@ def test_csv_export_and_round_trip():
 
 def test_json_export_and_round_trip():
     text = "".join(triangle_json(4))
-    rows = parse_triangle_json(text)
+    rows = [tuple(row) for row in json.loads(text)]
     assert rows == list(triangle_rows(4))
     assert "".join(triangle_json(4)) == text
     # the streamed text is what one json.dumps of the whole list gives
