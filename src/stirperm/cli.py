@@ -6,7 +6,10 @@ Exit codes: 0 ok, 1 verification or certification failure, 2 usage error
 closes stdout early, as ``| head`` does, ends the command silently with
 exit 0. Every command is deterministic given its full flag set; sampling
 commands require an explicit --seed (there is no ambient randomness
-anywhere in the package).
+anywhere in the package). Refusals come before any work: each heavy command
+has an order cap, and ``poly --eval`` refuses a point where the value could
+be too long to print. ``triangle --oracle`` compares each row with all three
+statistics' enumeration counts.
 
 Exact rationals are rendered as "num/den" in CSV and as [num, den] pairs in
 JSON; any decimal shown sits next to its exact form, never instead of it.
@@ -30,6 +33,7 @@ from .permutations import (
     sample_word,
     word_statistics,
 )
+from .polynomial import double_factorial
 from .rng import SplitMix64
 from .special import normal_pdf
 
@@ -50,6 +54,10 @@ TRIANGLE_ORDER_CAP = 1000
 #: ``roots --n 300 --interlace`` takes 27-32 s (31 MiB peak), and 200 / 250
 #: take 6.9 / 17 s; the cost grows like n^4.
 ROOTS_ORDER_CAP = 300
+
+#: ``poly --eval`` refuses a value of more bits: 2**14284 < 10**4300, and 4300
+#: digits is Python's default limit for printing an int.
+_PRINTABLE_BITS = 14284
 
 _ORACLE_ORDER_CAP = 8
 _SAMPLE_CHUNK_LINES = 4096
@@ -135,13 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="statistic triangle rows 1..n")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument(
-        "--stat", choices=STAT_LABELS, default="descents",
-        help="statistic the --oracle enumeration counts; the printed rows are "
-        "the same for all three, which are equidistributed",
-    )
-    p.add_argument(
         "--oracle", action="store_true",
-        help="also enumerate (orders <= 8) and compare; exit 1 on mismatch",
+        help="also enumerate (orders <= 8) and compare each row with the "
+        "descent, plateau and ascent counts; exit 1 on mismatch",
     )
     _add_common(p)
 
@@ -206,19 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_triangle(args) -> int:
     _refuse_above(args.n_max, TRIANGLE_ORDER_CAP, "triangle")
     if args.oracle:
-        for n in range(1, min(args.n_max, _ORACLE_ORDER_CAP) + 1):
-            row = triangle.triangle_row(n)
-            expected = brute_force_triangle(n, args.stat)
+        top = min(args.n_max, _ORACLE_ORDER_CAP)
+        for n, stat in itertools.product(range(1, top + 1), STAT_LABELS):
+            row, expected = triangle.triangle_row(n), brute_force_triangle(n, stat)
             if row != expected:
                 sys.stderr.write(
-                    f"oracle disagreement at n={n}: recurrence {row} "
-                    f"vs enumeration {expected}\n"
+                    f"oracle disagreement at n={n} for {stat}: recurrence "
+                    f"{row} vs enumeration {expected}\n"
                 )
                 return 1
-        sys.stderr.write(
-            f"oracle agreement for {args.stat}, n <= "
-            f"{min(args.n_max, _ORACLE_ORDER_CAP)}\n"
-        )
+        sys.stderr.write(f"oracle agreement for {', '.join(STAT_LABELS)}, n <= {top}\n")
     writer = triangle.triangle_json if args.format == "json" else triangle.triangle_csv
     _write_chunks(args.out, writer(args.n_max))
     return 0
@@ -228,6 +229,17 @@ def _cmd_poly(args) -> int:
     if args.format == "csv" and (args.wilf or args.eval is not None):
         raise UsageError("--wilf and --eval need --format json")
     _refuse_above(args.n, POLY_ORDER_CAP, "generating polynomial")
+    if args.eval is not None:
+        # P_n has degree n and positive coefficients summing to (2n-1)!!, so
+        # at p/q its numerator is at most (2n-1)!! max(|p|, q)^n, and its
+        # denominator, which divides q^n, is no larger
+        big = max(abs(args.eval.numerator), args.eval.denominator)
+        bits = double_factorial(args.n).bit_length() + args.n * (big - 1).bit_length()
+        if bits > _PRINTABLE_BITS:
+            raise ResourceLimitExceeded(
+                "--eval refused: the value could pass 4300 digits, "
+                "the limit for printing an int"
+            )
     poly = triangle.descent_polynomial(args.n)
     if args.format == "csv":
         lines = ["i,coefficient"]

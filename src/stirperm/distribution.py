@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import sqrt
 
 from .permutations import (
     MAX_ENUMERATION_ORDER,
-    enumerate_words,
-    word_statistics,
+    brute_force_triangle,
+    enumeration_census,
 )
 from .polynomial import double_factorial
 from .rng import SplitMix64
@@ -71,14 +72,10 @@ def second_moments_by_recurrence(n_max: int) -> list[Fraction]:
 
 def brute_force_moments(n: int) -> tuple[Fraction, Fraction]:
     """(mean, second moment) of the plateau count by full enumeration."""
-    total = 0
-    square_total = 0
-    population = 0
-    for word in enumerate_words(n):
-        p = word_statistics(word).plateaux
-        total += p
-        square_total += p * p
-        population += 1
+    row = brute_force_triangle(n, "plateaux")
+    population = sum(row)
+    total = sum(k * c for k, c in enumerate(row, start=1))
+    square_total = sum(k * k * c for k, c in enumerate(row, start=1))
     return Fraction(total, population), Fraction(square_total, population)
 
 
@@ -127,19 +124,17 @@ def sum_identity_check(n: int) -> bool:
 def indicator_expectations(
     n: int,
 ) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
-    """Single-pass enumeration oracle: adjacency probability of each value,
-    and joint adjacency probability of each unordered value pair."""
+    """Enumeration oracle: adjacency probability of each value, and joint
+    adjacency probability of each unordered value pair."""
     population = double_factorial(n)
     singles = [0] * (n + 1)
     pairs: dict[tuple[int, int], int] = {}
-    for word in enumerate_words(n):
-        here = [word[j] for j in range(len(word) - 1) if word[j] == word[j + 1]]
+    for _, mask, count in enumeration_census(n):
+        here = [v for v in range(1, n + 1) if mask >> v & 1]
         for a in here:
-            singles[a] += 1
-        for idx, a in enumerate(here):
-            for b in here[idx + 1 :]:
-                key = (a, b) if a < b else (b, a)
-                pairs[key] = pairs.get(key, 0) + 1
+            singles[a] += count
+        for pair in combinations(here, 2):
+            pairs[pair] = pairs.get(pair, 0) + count
     single_probs = {
         i: Fraction(singles[i], population) for i in range(1, n + 1)
     }
@@ -156,8 +151,6 @@ def indicator_pair_step_checks(n: int) -> bool:
       3. jointly with the top value n+1, adjacency of i is unchanged
          (the top pair is always adjacent)
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
     if n + 1 > MAX_ENUMERATION_ORDER:
         raise ValueError(
             f"check needs enumeration of order {n + 1}, above the cap"
@@ -171,19 +164,13 @@ def indicator_pair_step_checks(n: int) -> bool:
     for i in range(1, n + 1):
         if single_up[i] != step_single * single_n[i]:
             return False
+        if pair_up.get((i, n + 1), Fraction(0)) != single_up[i]:
+            return False
         for j in range(i + 1, n + 1):
             left = pair_up.get((i, j), Fraction(0))
             right = step_pair * pair_n.get((i, j), Fraction(0))
             if left != right:
                 return False
-    for i in range(1, n + 2):
-        joint = (
-            pair_up.get((i, n + 1), Fraction(0))
-            if i <= n
-            else single_up[n + 1]
-        )
-        if joint != single_up[i]:
-            return False
     return True
 
 

@@ -207,13 +207,3 @@ def interlace_certificate_payload(cert: InterlaceCertificate) -> dict:
     witnesses = [{**asdict(w), "lower": _pair(w.lower), "upper": _pair(w.upper)}
                  for w in cert.witnesses]
     return {"n": cert.order, "verified": cert.verified, "witnesses": witnesses}
-
-
-def real_root_certificate_json(cert: RealRootCertificate) -> str:
-    payload = real_root_certificate_payload(cert)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def interlace_certificate_json(cert: InterlaceCertificate) -> str:
-    payload = interlace_certificate_payload(cert)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -39,7 +39,7 @@ _FULL = {
     "triangle_rows": 200,
     "oracle_orders": 7,
     "polynomial_orders": 200,
-    "wilf_orders": 80,
+    "wilf_orders": 120,
     "mode_orders": 200,
     "certify_orders": 130,
     "interlace_orders": 130,

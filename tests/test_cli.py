@@ -28,6 +28,30 @@ def test_triangle_oracle_agreement(capsys):
     assert "oracle agreement" in err
 
 
+def test_triangle_oracle_checks_all_three_statistics(capsys, monkeypatch):
+    from stirperm import cli
+
+    code, _, err = run(capsys, "triangle", "--n-max", "4", "--oracle")
+    assert code == 0
+    assert all(stat in err for stat in ("descents", "plateaux", "ascents"))
+    real = cli.brute_force_triangle
+
+    def plateaux_one_off(n, stat):
+        row = real(n, stat)
+        return (row[0] + 1,) + row[1:] if stat == "plateaux" else row
+
+    monkeypatch.setattr(cli, "brute_force_triangle", plateaux_one_off)
+    code, _, err = run(capsys, "triangle", "--n-max", "4", "--oracle")
+    assert code == 1
+    assert "plateaux" in err and "disagreement" in err
+
+
+def test_triangle_stat_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["triangle", "--n-max", "3", "--stat", "plateaux"])
+    assert exc.value.code == 2
+
+
 def test_triangle_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["triangle", "--n-max", "0"])
@@ -65,6 +89,23 @@ def test_poly_and_triangle_caps_print_within_int_str_limit():
 
     str(double_factorial(cli.POLY_ORDER_CAP))
     str(double_factorial(cli.TRIANGLE_ORDER_CAP))
+
+
+def test_poly_eval_refuses_an_unprintable_value_before_any_work(capsys, monkeypatch):
+    from stirperm import triangle
+
+    def no_work(n):
+        raise AssertionError("P_n was built before the refusal")
+
+    monkeypatch.setattr(triangle, "descent_polynomial", no_work)
+    for n, point in (("700", "1000000"), ("1400", "7" * 4001)):
+        code, out, err = run(capsys, "poly", "--n", n, "--eval", point, "--format", "json")
+        assert code == 3
+        assert out == "" and err.count("\n") == 1 and "resource refusal" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "poly", "--n", "1400", "--eval=-1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["evaluation"]["point"] == [-1, 1]
 
 
 def test_poly_csv_flags_need_json(capsys):

@@ -33,6 +33,9 @@ _ORDER_FLAG = {"triangle": "--n-max"}
 #: no positive number above 6 here: a junk token may land on --count
 _JUNK = ("0", "-3", "6", "x", "1/0", "1.5", "", "--bogus", "-h", "=", "--n")
 _RATIONALS = ("1", "0", "-1/2", "1/1024", "3/7", "1/0", "x", "-0")
+#: P_n at this point prints for n <= 3 (about 3,900 digits) and is refused
+#: from 4 on, where it could pass the 4300-digit limit for printing an int
+_HUGE_POINT = "9" * 1300
 #: os.devnull is writable; a path below it is not a directory, so exit 2
 _PATHS = (os.devnull, os.path.join(os.devnull, "x.csv"))
 
@@ -62,10 +65,8 @@ def argvs(draw):
     argv = [command, _ORDER_FLAG.get(command, "--n"), str(order)]
     argv += ["--oracle"] if oracle else []
     argv += ["--no-exact"] if no_exact else []
-    if command == "triangle":
-        argv += _flag(draw, "--stat", ("descents", "plateaux", "ascents", "x"))
-    elif command == "poly":
-        argv += _flag(draw, "--wilf") + _flag(draw, "--eval", _RATIONALS)
+    if command == "poly":
+        argv += _flag(draw, "--wilf") + _flag(draw, "--eval", _RATIONALS + (_HUGE_POINT,))
     elif command == "roots":
         argv += _flag(draw, "--interlace") + _flag(draw, "--width", _RATIONALS)
     elif command == "normality":

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,25 @@ def test_plateau_probability_against_enumeration():
         singles, _ = indicator_expectations(n)
         for value in range(1, n + 1):
             assert plateau_probability(n, value).probability == singles[value]
+
+
+def test_indicator_expectations_match_a_per_word_adjacency_scan():
+    for n in range(1, 7):
+        population = 0
+        singles = Counter()
+        pairs = Counter()
+        for word in enumerate_words(n):
+            population += 1
+            here = [word[j] for j in range(len(word) - 1) if word[j] == word[j + 1]]
+            singles.update(here)
+            pairs.update(
+                (min(a, b), max(a, b)) for i, a in enumerate(here) for b in here[i + 1:]
+            )
+        got_singles, got_pairs = indicator_expectations(n)
+        assert got_singles == {
+            v: Fraction(singles[v], population) for v in range(1, n + 1)
+        }
+        assert got_pairs == {k: Fraction(c, population) for k, c in pairs.items()}
 
 
 def test_adjacency_count_of_smallest_value_in_order_three():

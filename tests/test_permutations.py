@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from stirperm.permutations import (
     StirlingPermutation,
     brute_force_triangle,
     enumerate_words,
+    enumeration_census,
     format_word,
     parse_word,
     sample_uniform,
@@ -147,6 +149,45 @@ def test_triangle_rows_equidistributed_across_statistics():
         descents = brute_force_triangle(n, "descents")
         assert descents == brute_force_triangle(n, "plateaux")
         assert descents == brute_force_triangle(n, "ascents")
+
+
+def test_enumeration_census_matches_a_per_word_scan():
+    # reference: the descents of word_statistics, the scan behind
+    # sample --stats, and a mask of the adjacent equal pairs
+    for n in range(1, 7):
+        expected = Counter()
+        for word in enumerate_words(n):
+            stats = word_statistics(word)
+            mask = 0
+            for a, b in zip(word, word[1:]):
+                if a == b:
+                    mask |= 1 << a
+            assert bin(mask).count("1") == stats.plateaux
+            expected[stats.descents, mask] += 1
+        census = enumeration_census(n)
+        assert census == tuple((d, m, c) for (d, m), c in sorted(expected.items()))
+        assert enumeration_census(n) is census
+    assert enumeration_census(2) == ((1, 0b110, 1), (2, 0b100, 1), (2, 0b110, 1))
+
+
+def test_oracle_suites_walk_each_order_once(monkeypatch):
+    from stirperm import permutations, verify
+
+    walks = Counter()
+    real = permutations.enumerate_words
+
+    def counting(n):
+        walks[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(permutations, "enumerate_words", counting)
+    enumeration_census.cache_clear()
+    try:
+        for suite in ("triangle", "moments", "identities"):
+            assert all(r.passed for r in verify.run_suite(suite, quick=True))
+    finally:
+        enumeration_census.cache_clear()
+    assert walks and max(walks.values()) == 1, walks
 
 
 def test_sampler_is_deterministic_and_valid():

@@ -17,8 +17,8 @@ from stirperm.sturm import (
     CertificationError,
     certify_real_roots,
     interlace_certificate,
-    interlace_certificate_json,
-    real_root_certificate_json,
+    interlace_certificate_payload,
+    real_root_certificate_payload,
 )
 from stirperm.triangle import descent_polynomial, triangle_row
 
@@ -248,14 +248,17 @@ def test_float_root_finder_diagnostic_agrees():
 def test_certificate_json_shape():
     import json
 
-    payload = json.loads(real_root_certificate_json(certify_real_roots(3)))
+    def round_trip(payload):
+        return json.loads(json.dumps(payload))
+
+    payload = round_trip(real_root_certificate_payload(certify_real_roots(3)))
     assert payload["n"] == 3
     assert payload["count"] == 3
     assert payload["squarefree"] is True
     assert payload["verified"] is True
     assert len(payload["intervals"]) == 3
     assert all(len(entry) == 4 for entry in payload["intervals"])
-    inter = json.loads(interlace_certificate_json(interlace_certificate(3)))
+    inter = round_trip(interlace_certificate_payload(interlace_certificate(3)))
     assert inter["n"] == 3 and inter["verified"] is True
     assert len(inter["witnesses"]) == 2
 
