@@ -54,6 +54,12 @@ TRIANGLE_ORDER_CAP = 1000
 #: ``roots --n 300 --interlace`` takes 27-32 s (31 MiB peak), and 200 / 250
 #: take 6.9 / 17 s; the cost grows like n^4.
 ROOTS_ORDER_CAP = 300
+#: ``normality --n 1000000 --no-exact --samples 1`` takes 12.5 s with 32 MiB
+#: peak RSS (20 samples: 15 s); time and memory grow linearly in the order.
+SAMPLING_ORDER_CAP = 1_000_000
+#: ``sample --n 200000 --count 1`` takes 5.6 s with 56 MiB peak RSS (100000:
+#: 1.5 s, 36 MiB); each word costs about n^2 element moves.
+SAMPLE_ORDER_CAP = 200_000
 
 #: ``poly --eval`` refuses a value of more bits: 2**14284 < 10**4300, and 4300
 #: digits is Python's default limit for printing an int.
@@ -317,8 +323,9 @@ def _cmd_normality(args) -> int:
     if args.no_exact and args.samples is None:
         raise UsageError("--no-exact without --samples leaves nothing to do")
     if not args.no_exact or args.plot_out or args.plot_normal_out:
-        what = "exact distance or plot (--no-exact --samples has no cap)"
-        _refuse_above(args.n, EXACT_DISTANCE_ORDER_CAP, what)
+        _refuse_above(args.n, EXACT_DISTANCE_ORDER_CAP, "exact distance or plot")
+    if args.samples is not None:
+        _refuse_above(args.n, SAMPLING_ORDER_CAP, "Monte-Carlo distance")
     payload = _moments_payload(args.n)
     if not args.no_exact:
         payload["ks_exact"] = distribution.ks_distance_exact(args.n)
@@ -390,6 +397,7 @@ def _cmd_mode(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _refuse_above(args.n, SAMPLE_ORDER_CAP, "sampling")
     rng = SplitMix64(args.seed)
     words = (sample_word(args.n, rng) for _ in range(args.count))
     if args.stats:

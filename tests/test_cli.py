@@ -331,8 +331,12 @@ def _refuse_all_work(*args, **kwargs):
          ["normality", "--no-exact", "--samples", "10", "--seed", "1",
           "--plot-out", os.devnull, "--n"],
          ["triangle_row"]),
+        ("SAMPLING_ORDER_CAP",
+         ["normality", "--no-exact", "--samples", "10", "--seed", "1", "--n"], []),
+        ("SAMPLE_ORDER_CAP", ["sample", "--count", "3", "--seed", "1", "--n"], []),
     ],
-    ids=["poly", "triangle", "mode", "normality", "normality-plot"],
+    ids=["poly", "triangle", "mode", "normality", "normality-plot",
+         "normality-samples", "sample"],
 )
 def test_order_caps_refuse_before_work(capsys, monkeypatch, cap, argv, work):
     from stirperm import cli
@@ -340,6 +344,8 @@ def test_order_caps_refuse_before_work(capsys, monkeypatch, cap, argv, work):
     for name in work:
         monkeypatch.setattr(cli.triangle, name, _refuse_all_work)
     monkeypatch.setattr(cli.distribution, "triangle_row", _refuse_all_work)
+    monkeypatch.setattr(cli.distribution, "sample_statistic_histogram", _refuse_all_work)
+    monkeypatch.setattr(cli, "sample_word", _refuse_all_work)
     code, out, err = run(capsys, *argv, str(getattr(cli, cap) + 1))
     assert code == 3
     assert out == ""

@@ -4,9 +4,10 @@ with exit code 0-3 and prints no traceback.
 ``cli.main`` runs in-process; argparse's ``SystemExit`` is caught, and any
 other exception fails the test. Orders are either small (at most 12) or
 above the command's cap, which is refused before any work, so every
-example is cheap. ``verify`` is left out: its suites take seconds. A junk
-token can become an output path, so the examples run in a temporary
-directory.
+example is cheap; a second property checks that the sampling commands
+refuse every order above their caps with exit 3. ``verify`` is left out:
+its suites take seconds. A junk token can become an output path, so the
+examples run in a temporary directory.
 """
 
 import io
@@ -14,7 +15,7 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stirperm import cli
@@ -26,7 +27,15 @@ _CAPS = {
     "normality": cli.EXACT_DISTANCE_ORDER_CAP,
     "mode": cli.MODE_ORDER_CAP,
     "moments": None,
-    "sample": None,
+    "sample": cli.SAMPLE_ORDER_CAP,
+}
+#: (order cap, argv without --n) of each sampling command
+_SAMPLING = {
+    "sample": (cli.SAMPLE_ORDER_CAP, ["sample", "--count", "1", "--seed", "1"]),
+    "normality": (
+        cli.SAMPLING_ORDER_CAP,
+        ["normality", "--no-exact", "--samples", "1", "--seed", "1"],
+    ),
 }
 _ORDER_FLAG = {"triangle": "--n-max"}
 
@@ -54,13 +63,12 @@ def _flag(draw, name, values=None):
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(_CAPS)))
-    cap = _CAPS[command]
     oracle = command == "triangle" and draw(st.booleans())
     # enumeration at order 8 takes seconds, so --oracle stays at 7 and below
     small = st.integers(1, 7 if oracle else 12)
     no_exact = command == "normality" and draw(st.booleans())
-    # --no-exact --samples has no cap, so it keeps to small orders too
-    above = cap is not None and not no_exact and draw(st.booleans())
+    cap = cli.SAMPLING_ORDER_CAP if no_exact else _CAPS[command]
+    above = cap is not None and draw(st.booleans())
     order = draw(st.integers(cap + 1, 1000 * cap) if above else small)
     argv = [command, _ORDER_FLAG.get(command, "--n"), str(order)]
     argv += ["--oracle"] if oracle else []
@@ -99,14 +107,30 @@ def _in_temporary_directory(tmp_path_factory):
     os.chdir(cwd)
 
 
-@settings(max_examples=500, deadline=None)
-@given(argvs())
-def test_any_argv_exits_0_to_3_without_traceback(argv):
+def _run(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``, run in-process."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse: usage errors and --help
             code = exc.code
-    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue() + out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs())
+def test_any_argv_exits_0_to_3_without_traceback(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err + out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_SAMPLING)), st.integers(1, 10**15))
+@example("normality", 10**12 - cli.SAMPLING_ORDER_CAP)  # once a MemoryError
+def test_sampling_orders_above_their_caps_exit_3(command, excess):
+    cap, argv = _SAMPLING[command]
+    code, out, err = _run(argv + ["--n", str(cap + excess)])
+    assert (code, out) == (3, ""), err
+    assert "resource refusal" in err

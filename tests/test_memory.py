@@ -56,6 +56,16 @@ def test_polynomial_and_series_check_at_order_600_stay_small():
     assert peak < 40
 
 
+def test_histogram_at_order_one_million_stays_small():
+    # buffering raw draws across lists peaked near 160 MiB; one sample's
+    # lanes are 128 bits, so the histogram itself is most of the peak
+    peak = _peak_mib(
+        "from stirperm.distribution import sample_statistic_histogram\n"
+        "sample_statistic_histogram(10**6, 1, 1)\n"
+    )
+    assert peak < 64
+
+
 def test_sample_memory_flat_in_count():
     def sample(count):
         return _peak_mib(
