@@ -46,6 +46,7 @@ from .triangle import (
     ModeReport,
     descent_polynomial,
     gessel_stanley_check,
+    gessel_stanley_checks,
     locate_mode,
     triangle_row,
     triangle_rows,
@@ -74,6 +75,7 @@ __all__ = [
     "double_factorial",
     "enumerate_words",
     "gessel_stanley_check",
+    "gessel_stanley_checks",
     "indicator_pair_step_checks",
     "interlace_certificate",
     "ks_distance_empirical",

@@ -43,10 +43,10 @@ from .special import normal_pdf
 #: about n^3.3 bit operations, holding two rows: at n = 2000 / 3000 they take
 #: 4.6 / 16 s with 27 / 42 MiB peak RSS.
 EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
-#: ``poly --n 1400 --wilf --format json`` takes 19 s with 37 MiB peak RSS (1000:
-#: 6.8 s, 27 MiB). From order 1424 on, P_n(1) = (2n-1)!!, and from 1425 the
-#: largest coefficient, pass Python's default limit of 4300 digits for printing
-#: an int, so the cap stays below that.
+#: ``poly --n 1400 --wilf --format json`` takes 18-24 s with 48 MiB peak RSS
+#: (1000: 8.3 s, 32 MiB). From order 1424 on, P_n(1) = (2n-1)!!, and from
+#: 1425 the largest coefficient, pass Python's default limit of 4300 digits
+#: for printing an int, so the cap stays below that.
 POLY_ORDER_CAP = 1400
 #: Rows stream (26 MiB at the cap), but the text is about n^3 digits:
 #: ``triangle --n-max 1000`` writes 813 MB of JSON in 30 s.
@@ -54,8 +54,8 @@ TRIANGLE_ORDER_CAP = 1000
 #: ``roots --n 300 --interlace`` takes 27-32 s (31 MiB peak), and 200 / 250
 #: take 6.9 / 17 s; the cost grows like n^4.
 ROOTS_ORDER_CAP = 300
-#: ``normality --n 1000000 --no-exact --samples 1`` takes 12.5 s with 32 MiB
-#: peak RSS (20 samples: 15 s); time and memory grow linearly in the order.
+#: ``normality --n 1000000 --no-exact --samples 1`` takes 1.8-2.8 s with 31 MiB
+#: peak RSS (20 samples: 7 s); time and memory grow linearly in the order.
 SAMPLING_ORDER_CAP = 1_000_000
 #: ``sample --n 200000 --count 1`` takes 5.6 s with 56 MiB peak RSS (100000:
 #: 1.5 s, 36 MiB); each word costs about n^2 element moves.

@@ -280,5 +280,9 @@ def ks_distance_empirical(n: int, samples: int, seed: int) -> float:
         raise ValueError(f"order must be >= 2 to standardize, got {n}")
     histogram = sample_statistic_histogram(n, samples, seed)
     m = moments_exact(n)
-    support = (_standardized_point(k, m.mean, m.variance) for k in range(1, n + 1))
+    # the sup distance reads a point only where its count is nonzero
+    support = (
+        _standardized_point(k, m.mean, m.variance) if histogram[k] else 0.0
+        for k in range(1, n + 1)
+    )
     return _sup_distance(histogram[1:], samples, support)

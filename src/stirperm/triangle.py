@@ -23,9 +23,11 @@ and Stanley's definition of P_n through Stirling numbers of the second kind,
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .polynomial import IntPolynomial
 
@@ -73,30 +75,52 @@ def descent_polynomial(n: int) -> IntPolynomial:
     return poly
 
 
-def gessel_stanley_check(n: int) -> bool:
-    """Whether P_n(x) = (1 - x)^(2n+1) sum_k S(n+k, k) x^k, the definition
+def gessel_stanley_checks(orders: Iterable[int]) -> Iterator[tuple[int, bool]]:
+    """For each order n in ``orders``, in ascending order and once each,
+    (n, whether P_n(x) = (1 - x)^(2n+1) sum_k S(n+k, k) x^k), the definition
     of Gessel and Stanley, with S the Stirling numbers of the second kind.
 
     S(n+k, k) is a polynomial in k of degree 2n, so the series times
     (1 - x)^(2n+1) is a polynomial of degree at most 2n, and its
     coefficients 0..2n, which need S(n+k, k) for k = 0..2n only, decide the
-    identity. They must equal those of P_n padded with zeros. The numbers
-    come from S(k+d, k) = k S(k+d-1, k) + S(k+d-1, k-1), raising d from 0
-    to n; only plain ints are used.
+    identity. Equivalently, S(n+k, k) for k = 0..2n must equal the first
+    2n + 1 coefficients of P_n / (1 - x)^(2n+1), and P_n may have degree at
+    most 2n. One row S(k+d, k), k = 0..2 max(orders), is walked from d = 0
+    upwards: S(k+d, k) = k S(k+d-1, k) + S(k+d-1, k-1) makes each depth the
+    prefix sums of k S(k+d-1, k), and each division by (1 - x) is a prefix
+    sum too, so every step is one C-level pass over plain ints.
     """
-    if n < 1:
-        raise ValueError(f"check needs order >= 1, got {n}")
-    size = 2 * n + 1
-    series = [1] * size  # S(k, k) = 1
-    for _ in range(n):  # S(k+d, k) from S(k+d-1, .), with S(d, 0) = 0
-        series[0] = 0
-        for k in range(1, size):
-            series[k] = k * series[k] + series[k - 1]
-    for _ in range(size):  # times (1 - x), truncated at degree 2n
-        for k in range(size - 1, 0, -1):
-            series[k] -= series[k - 1]
-    coefficients = list(descent_polynomial(n).coefficients)
-    return series == coefficients + [0] * (size - len(coefficients))
+    wanted = set(orders)
+    if not wanted:
+        raise ValueError("check needs at least one order")
+    if min(wanted) < 1:
+        raise ValueError(f"check needs orders >= 1, got {min(wanted)}")
+    top = max(wanted)
+    for d, row in zip(range(top + 1), _stirling_rows(2 * top + 1)):
+        if d in wanted:
+            size = 2 * d + 1
+            # P_d / (1 - x)^(2d+1) up to degree 2d; a P_d of higher degree
+            # leaves the quotient longer than the row, so it fails
+            quotient = list(descent_polynomial(d).coefficients)
+            quotient += [0] * (size - len(quotient))
+            for _ in range(size):
+                quotient = list(accumulate(quotient))
+            yield d, row[:size] == quotient
+
+
+def _stirling_rows(width: int) -> Iterator[list[int]]:
+    """[S(k+d, k) for k in range(width)] for d = 0, 1, 2, ...: each row is
+    the prefix sums of k times the row before, which gives S(d, 0) = 0."""
+    row = [1] * width  # S(k, k) = 1
+    while True:
+        yield row
+        row = list(accumulate(map(mul, range(width), row)))
+
+
+def gessel_stanley_check(n: int) -> bool:
+    """Whether P_n satisfies the Gessel-Stanley identity at order n alone;
+    see ``gessel_stanley_checks``."""
+    return next(gessel_stanley_checks((n,)))[1]
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,8 @@ def _suite_triangle(p) -> list[CheckResult]:
             )
         )
     series = [
-        (f"n={n}", triangle.gessel_stanley_check(n))
-        for n in range(1, p["wilf_orders"] + 1)
+        (f"n={n}", ok)
+        for n, ok in triangle.gessel_stanley_checks(range(1, p["wilf_orders"] + 1))
     ]
     modes = []
     for n in range(1, p["mode_orders"] + 1):

@@ -263,6 +263,45 @@ def test_verify_suite_exit_codes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+_TRIANGLE_SUITE_STDOUT = {
+    False: (
+        "PASS  triangle: row sums equal (2n-1)!! for n <= 200\n"
+        "PASS  triangle: recurrence row = enumeration counts for "
+        "descents/plateaux/ascents, n <= 7\n"
+        "PASS  triangle: polynomial route matches triangle route, n <= 200\n"
+        "PASS  triangle: value at 1 equals (2n-1)!!\n"
+        "PASS  triangle: mean statistic value equals (2n+1)/3 exactly\n"
+        "PASS  triangle: Gessel-Stanley series sum_k S(n+k,k) x^k = "
+        "P_n(x)/(1-x)^(2n+1), n <= 120\n"
+        "PASS  triangle: peaks within 1 of mean and matching two-case "
+        "pattern, n <= 200\n"
+        "7/7 checks passed (triangle)\n"
+    ),
+    True: (
+        "PASS  triangle: row sums equal (2n-1)!! for n <= 60\n"
+        "PASS  triangle: recurrence row = enumeration counts for "
+        "descents/plateaux/ascents, n <= 6\n"
+        "PASS  triangle: polynomial route matches triangle route, n <= 60\n"
+        "PASS  triangle: value at 1 equals (2n-1)!!\n"
+        "PASS  triangle: mean statistic value equals (2n+1)/3 exactly\n"
+        "PASS  triangle: Gessel-Stanley series sum_k S(n+k,k) x^k = "
+        "P_n(x)/(1-x)^(2n+1), n <= 16\n"
+        "PASS  triangle: peaks within 1 of mean and matching two-case "
+        "pattern, n <= 60\n"
+        "7/7 checks passed (triangle, quick)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_verify_triangle_stdout_is_pinned(capsys, quick):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "triangle", *(["--quick"] if quick else [])
+    )
+    assert code == 0
+    assert out == _TRIANGLE_SUITE_STDOUT[quick]
+
+
 def test_output_file_writing(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, out, _ = run(

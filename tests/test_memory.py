@@ -56,6 +56,16 @@ def test_polynomial_and_series_check_at_order_600_stay_small():
     assert peak < 40
 
 
+def test_poly_wilf_at_order_300_stays_small():
+    # the heaviest command of the bench's CLI session: P_300, one Stirling
+    # row of 601 entries and the quotient it is compared with
+    peak = _peak_mib(
+        "from stirperm.cli import main\n"
+        "main(['poly', '--n', '300', '--wilf', '--eval', '1', '--format', 'json'])\n"
+    )
+    assert peak < 24
+
+
 def test_histogram_at_order_one_million_stays_small():
     # buffering raw draws across lists peaked near 160 MiB; one sample's
     # lanes are 128 bits, so the histogram itself is most of the peak

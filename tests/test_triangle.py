@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
@@ -9,6 +10,7 @@ from stirperm.polynomial import IntPolynomial, double_factorial
 from stirperm.triangle import (
     descent_polynomial,
     gessel_stanley_check,
+    gessel_stanley_checks,
     locate_mode,
     triangle_csv,
     triangle_json,
@@ -119,6 +121,52 @@ def test_gessel_stanley_check_rejects_a_wrong_polynomial(monkeypatch, n):
         assert not gessel_stanley_check(n)
     monkeypatch.undo()
     assert gessel_stanley_check(n)
+
+
+def test_sweep_matches_single_order_checks():
+    expected = {n: gessel_stanley_check(n) for n in range(1, 61)}
+    assert list(gessel_stanley_checks(range(1, 61))) == sorted(expected.items())
+    assert all(expected.values())
+    # any order of requests, repeats included, comes back ascending, once each
+    assert list(gessel_stanley_checks([5, 3, 5, 1])) == [
+        (1, True), (3, True), (5, True)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_sweep_flags_a_wrong_polynomial_at_its_order_only(monkeypatch, n):
+    real = triangle.descent_polynomial
+    coefficients = list(real(n).coefficients)
+    off_by_one = coefficients.copy()
+    off_by_one[n // 2 + 1] += 1
+    extra_term = coefficients + [1]  # degree n + 1
+    beyond_window = coefficients + [0] * n + [1]  # degree 2n + 1
+    for wrong in (off_by_one, extra_term, beyond_window):
+        monkeypatch.setattr(
+            triangle,
+            "descent_polynomial",
+            lambda m, w=wrong: IntPolynomial(w) if m == n else real(m),
+        )
+        assert list(gessel_stanley_checks(range(1, n + 2))) == [
+            (m, m != n) for m in range(1, n + 2)
+        ]
+
+
+@pytest.mark.parametrize("orders", [[], (), [0], [-1], [3, 0, 5], range(0, 4)])
+def test_sweep_rejects_empty_or_nonpositive_orders(orders):
+    with pytest.raises(ValueError):
+        list(gessel_stanley_checks(orders))
+
+
+def test_stirling_rows_match_the_explicit_sum():
+    def stirling2(m, k):
+        total = sum((-1) ** (k - j) * comb(k, j) * j**m for j in range(k + 1))
+        assert total % factorial(k) == 0
+        return total // factorial(k)
+
+    width = 25
+    for d, row in zip(range(13), triangle._stirling_rows(width)):
+        assert row == [stirling2(k + d, k) for k in range(width)]
 
 
 @pytest.mark.parametrize(
