@@ -1,7 +1,8 @@
 """Exact descent/plateau/ascent statistics of Stirling permutations.
 
 Core surface: the permutation type with validation, enumeration and uniform
-sampling; the statistic triangle built by two independent recurrences;
+sampling; the statistic triangle, built by an entry recurrence and checked
+against a derivative recurrence on its generating polynomials;
 sign-alternation certificates that each generating polynomial has distinct
 real non-positive roots and that consecutive ones interlace; and exact moment
 identities with measured convergence of the standardized statistic to the

@@ -43,8 +43,9 @@ from .special import normal_pdf
 #: about n^3.3 bit operations, holding two rows: at n = 2000 / 3000 they take
 #: 4.6 / 16 s with 27 / 42 MiB peak RSS.
 EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
-#: ``poly --n 1400 --wilf --format json`` takes 18-24 s with 48 MiB peak RSS
-#: (1000: 8.3 s, 32 MiB). From order 1424 on, P_n(1) = (2n-1)!!, and from
+#: ``poly --n 1400 --wilf --format json`` takes 9-13 s with 48 MiB peak RSS
+#: (1000: 3.4-3.7 s, 31 MiB), most of it the Gessel-Stanley check's Stirling
+#: walk. From order 1424 on, P_n(1) = (2n-1)!!, and from
 #: 1425 the largest coefficient, pass Python's default limit of 4300 digits
 #: for printing an int, so the cap stays below that.
 POLY_ORDER_CAP = 1400

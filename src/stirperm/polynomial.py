@@ -10,7 +10,6 @@ immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -51,12 +50,6 @@ class IntPolynomial:
         """Degree, or None for the zero polynomial."""
         return len(self._coeffs) - 1 if self._coeffs else None
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def leading_coefficient(self) -> int:
-        return self._coeffs[-1] if self._coeffs else 0
-
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPolynomial):
             return self._coeffs == other._coeffs
@@ -78,14 +71,6 @@ class IntPolynomial:
         for i, c in enumerate(b):
             summed[i] += c
         return IntPolynomial(summed)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self._coeffs)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -122,22 +107,6 @@ class IntPolynomial:
             )
         return IntPolynomial(self._coeffs[1:])
 
-    def content(self) -> int:
-        """gcd of the absolute coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._coeffs:
-            g = gcd(g, abs(c))
-            if g == 1:
-                break
-        return g
-
-    def primitive(self) -> "IntPolynomial":
-        """Divide out the content; a positive scaling, so signs are kept."""
-        g = self.content()
-        if g <= 1:
-            return self
-        return IntPolynomial(c // g for c in self._coeffs)
-
     def sign_at(self, numerator: int, denominator: int = 1) -> int:
         """Exact sign of the value at numerator/denominator (denominator > 0).
 
@@ -161,33 +130,5 @@ class IntPolynomial:
             acc = acc * numerator + (c << shift)
         return (acc > 0) - (acc < 0)
 
-    def sign_towards_infinity(self, positive: bool) -> int:
-        """Sign of the value for x -> +inf (or -inf when positive=False)."""
-        if not self._coeffs:
-            return 0
-        s = 1 if self._coeffs[-1] > 0 else -1
-        if not positive and (len(self._coeffs) - 1) % 2 == 1:
-            s = -s
-        return s
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self._coeffs)!r})"
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}x" if i == 1 else f"{mag}x^{i}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)

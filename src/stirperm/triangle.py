@@ -1,23 +1,19 @@
 """The descent-count triangle and its generating polynomials.
 
-Two independent construction routes are kept deliberately separate so each
-can check the other:
+Row n is built by the integer recurrence on triangle entries,
+    T(n, i) = i * T(n-1, i) + (2n - i) * T(n-1, i-1),   T(1, 1) = 1,
+with out-of-range entries read as 0, and P_n(x) = sum_i T(n, i) x^i is that
+row as a polynomial. Row n counts Stirling permutations of order n by number
+of descents (equally: plateaux, or ascents) of the statistic value
+i = 1..n; it sums to (2n - 1)!!. ``triangle_row`` remembers only the last
+row it returned, so a run of calls in ascending order costs one recurrence
+step each and memory stays at two rows. The certifier walks the orders
+upwards, so it asks for P_(n-1) before P_n.
 
-  * an integer recurrence on triangle entries,
-        T(n, i) = i * T(n-1, i) + (2n - i) * T(n-1, i-1),   T(1, 1) = 1,
-    with out-of-range entries read as 0; and
-  * a derivative recurrence on the generating polynomials themselves,
-        P_n(x) = (x - x^2) P_(n-1)'(x) + (2n - 1) x P_(n-1)(x),  P_1(x) = x.
-
-Row n counts Stirling permutations of order n by number of descents
-(equally: plateaux, or ascents) of the statistic value i = 1..n; it sums to
-(2n - 1)!!. Each builder remembers only the last row or polynomial it
-returned, so a run of calls in ascending order costs one recurrence step
-each and memory stays at two rows. The certifier walks the orders upwards,
-so it asks for P_(n-1) before P_n.
-
-A third route, shared with neither builder, checks the polynomials: Gessel
-and Stanley's definition of P_n through Stirling numbers of the second kind,
+The verify suite checks the rows against the derivative recurrence on the
+polynomials, P_n = (x - x^2) P_(n-1)' + (2n - 1) x P_(n-1), and this module
+checks them against Gessel and Stanley's definition of P_n through Stirling
+numbers of the second kind,
     sum_k S(n+k, k) x^k = P_n(x) / (1 - x)^(2n+1).
 """
 
@@ -31,11 +27,7 @@ from operator import mul
 
 from .polynomial import IntPolynomial
 
-_X = IntPolynomial((0, 1))
-_X_MINUS_X2 = IntPolynomial((0, 1, -1))
-
 _last_row: tuple[int, ...] = (1,)
-_last_poly: IntPolynomial = _X
 
 
 def triangle_row(n: int) -> tuple[int, ...]:
@@ -62,17 +54,8 @@ def triangle_rows(n_max: int) -> list[tuple[int, ...]]:
 
 
 def descent_polynomial(n: int) -> IntPolynomial:
-    """The generating polynomial of row n, built by the derivative
-    recurrence (independent of ``triangle_row``), extended from the last
-    polynomial returned when its order is at most n, else from P_1."""
-    global _last_poly
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    poly = _last_poly if _last_poly.degree() <= n else _X
-    for m in range(poly.degree() + 1, n + 1):
-        poly = _X_MINUS_X2 * poly.derivative() + (2 * m - 1) * (_X * poly)
-    _last_poly = poly
-    return poly
+    """P_n(x) = sum_i T(n, i) x^i, the generating polynomial of row n."""
+    return IntPolynomial((0,) + triangle_row(n))
 
 
 def gessel_stanley_checks(orders: Iterable[int]) -> Iterator[tuple[int, bool]]:

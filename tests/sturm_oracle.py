@@ -18,20 +18,40 @@ tests use this oracle for small orders only.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from stirperm.polynomial import IntPolynomial
+
+
+def primitive(p: IntPolynomial) -> IntPolynomial:
+    """p divided by the gcd of its coefficients; a positive scaling, so
+    signs are kept."""
+    g = gcd(*p.coefficients)
+    if g <= 1:
+        return p
+    return IntPolynomial(c // g for c in p.coefficients)
+
+
+def sign_towards_infinity(p: IntPolynomial, positive: bool) -> int:
+    """Sign of p(x) for x -> +inf (or -inf when positive=False)."""
+    if not p:
+        return 0
+    s = 1 if p.coefficients[-1] > 0 else -1
+    if not positive and p.degree() % 2 == 1:
+        s = -s
+    return s
 
 
 def pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Integer remainder of a by b, scaled by a *positive* power of the
     leading coefficient so that its sign at every point matches the exact
     rational remainder's."""
-    if b.is_zero():
+    if not b:
         raise ZeroDivisionError("pseudo-remainder by zero polynomial")
     da, db = a.degree(), b.degree()
     if da is None or da < db:
         return a
-    lead = b.leading_coefficient()
+    lead = b.coefficients[-1]
     bc = b.coefficients
     work = list(a.coefficients)
     steps = da - db + 1
@@ -58,17 +78,17 @@ class SturmChain:
     __slots__ = ("polynomials", "_cache")
 
     def __init__(self, p: IntPolynomial):
-        if p.is_zero():
+        if not p:
             raise ValueError("Sturm chain of the zero polynomial is undefined")
-        chain = [p.primitive()]
+        chain = [primitive(p)]
         derivative = p.derivative()
-        if not derivative.is_zero():
-            chain.append(derivative.primitive())
+        if derivative:
+            chain.append(primitive(derivative))
             while True:
                 rem = pseudo_remainder(chain[-2], chain[-1])
-                if rem.is_zero():
+                if not rem:
                     break
-                chain.append((-rem).primitive())
+                chain.append(primitive(-1 * rem))
                 if chain[-1].degree() == 0:
                     break
         self.polynomials = tuple(chain)
@@ -90,7 +110,7 @@ class SturmChain:
 
     def variations_towards(self, positive: bool) -> int:
         return _variations(
-            p.sign_towards_infinity(positive) for p in self.polynomials
+            sign_towards_infinity(p, positive) for p in self.polynomials
         )
 
     def count_roots(self, lower: Fraction | None, upper: Fraction | None) -> int:
@@ -133,9 +153,9 @@ def count_real_roots(
 
 def root_magnitude_bound(p: IntPolynomial) -> Fraction:
     """1 + max|coeff|/|lead|: every root r satisfies |r| < this bound."""
-    if p.is_zero() or p.degree() == 0:
+    if not p or p.degree() == 0:
         raise ValueError("root bound needs degree >= 1")
-    lead = abs(p.leading_coefficient())
+    lead = abs(p.coefficients[-1])
     biggest = max(abs(c) for c in p.coefficients)
     return 1 + Fraction(biggest, lead)
 

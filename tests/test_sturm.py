@@ -7,9 +7,11 @@ from sturm_oracle import (
     SturmChain,
     count_real_roots,
     isolate_roots,
+    primitive,
     pseudo_remainder,
     refine_interval,
     root_magnitude_bound,
+    sign_towards_infinity,
 )
 
 from stirperm.polynomial import IntPolynomial
@@ -60,6 +62,18 @@ def test_pseudo_remainder_has_exact_remainder_signs(a, b):
         exact_value = sum(c * point**i for i, c in enumerate(exact))
         sign = (exact_value > 0) - (exact_value < 0)
         assert rem.sign_at(point.numerator, point.denominator) == sign
+
+
+def test_sign_towards_infinity():
+    p = IntPolynomial([0, 0, 0, -2])  # -2x^3
+    assert sign_towards_infinity(p, positive=True) == -1
+    assert sign_towards_infinity(p, positive=False) == 1
+
+
+def test_primitive_keeps_signs():
+    p = IntPolynomial([-6, 0, 9])
+    assert primitive(p) == IntPolynomial([-2, 0, 3])
+    assert primitive(IntPolynomial([5, -7])) == IntPolynomial([5, -7])
 
 
 def test_chain_of_x():

@@ -17,6 +17,7 @@ from stirperm.triangle import (
     triangle_row,
     triangle_rows,
 )
+from stirperm.verify import _derivative_polynomials, run_suite
 
 
 def parse_triangle_csv(text: str) -> list[tuple[int, ...]]:
@@ -59,10 +60,11 @@ def test_rows_list_shape():
     ids=["ascending", "descending", "repeated", "interleaved"],
 )
 def test_rows_independent_of_call_order(orders):
-    expected = triangle_rows(40)
+    expected = [p.coefficients[1:] for p in _derivative_polynomials(40)]
+    assert triangle_rows(40) == expected
     for n in orders:
         assert triangle_row(n) == expected[n - 1]
-        assert triangle_row(n) == descent_polynomial(n).coefficients[1:]
+        assert descent_polynomial(n).coefficients[1:] == expected[n - 1]
 
 
 def test_polynomial_first_orders():
@@ -72,8 +74,22 @@ def test_polynomial_first_orders():
 
 
 def test_polynomial_route_matches_triangle_route():
-    for n in range(1, 121):
-        assert descent_polynomial(n).coefficients == (0,) + triangle_row(n)
+    for n, poly in enumerate(_derivative_polynomials(120), start=1):
+        assert poly.coefficients == (0,) + triangle_row(n)
+
+
+def test_route_check_reads_no_rows_for_its_oracle(monkeypatch):
+    real = triangle.triangle_row
+
+    def perturbed(n):
+        row = real(n)
+        return row[:-1] + (row[-1] + 1,) if n == 17 else row
+
+    monkeypatch.setattr(triangle, "triangle_row", perturbed)
+    results = {r.name: r for r in run_suite("triangle", quick=True)}
+    route = results["polynomial route matches triangle route, n <= 60"]
+    assert not route.passed
+    assert route.detail == "first failure: n=17"
 
 
 def test_row_sums_and_value_at_one():
