@@ -18,19 +18,24 @@ pair can never be split later, and removing it recovers the parent and the
 gap uniquely). Enumeration and uniform sampling both walk that insertion
 tree; enumeration visits parents in their own enumeration order and gaps
 left to right, a deterministic order kept stable so recorded outputs stay
-valid.
+valid. It builds the words a block at a time: one ``bytes`` object of 2n
+one-byte entries per word, holding the children of at most
+``_BLOCK_PARENTS`` consecutive parents, so each order holds one block.
 
 The enumeration oracles (triangle rows by each statistic, plateau moments,
 adjacency indicators) read one census per order, walked once and cached:
 the number of words with each (descents, plateau mask), where bit v of the
 mask is set when the two copies of v are adjacent. They are adjacent at
 most once, so the plateau count is the mask's popcount and the ascent
-count is 2n + 1 - descents - plateaux.
+count is 2n + 1 - descents - plateaux. The census compares every adjacent
+pair of every word, a whole block at a time, as lanes of one integer
+(``_word_sums``); it takes nothing from the insertion tree but the words.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -43,6 +48,13 @@ from .rng import SplitMix64
 MAX_ENUMERATION_ORDER = 9
 
 STAT_LABELS = ("descents", "plateaux", "ascents")
+
+#: Parents whose children ``_word_blocks`` builds and yields as one block.
+_BLOCK_PARENTS = 64
+
+# low and high byte of the 16-bit one-hot lane 2^(v-1) of an entry v <= 9
+_ONE_HOT_LOW = bytes((1 << v - 1) & 255 if 0 < v <= 8 else 0 for v in range(256))
+_ONE_HOT_HIGH = bytes(v == 9 for v in range(256))
 
 
 class InvalidPermutation(ValueError):
@@ -156,8 +168,17 @@ def enumerate_words(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every order-n word exactly once, as plain tuples.
 
     Order: parents in their own enumeration order, insertion gaps left to
-    right. Streams; nothing is materialized.
+    right. The words are decoded from ``_word_blocks``, so at most one block
+    per order is held at a time.
     """
+    for block in _word_blocks(n):
+        yield from zip(*[iter(block)] * (2 * n))
+
+
+def _word_blocks(n: int) -> Iterator[bytes]:
+    """The order-n words in enumeration order, as blocks of 2n one-byte
+    entries per word; each block holds the children of at most
+    ``_BLOCK_PARENTS`` consecutive parents."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if n > MAX_ENUMERATION_ORDER:
@@ -165,17 +186,30 @@ def enumerate_words(n: int) -> Iterator[tuple[int, ...]]:
             f"enumeration of order {n} refused: the set has "
             f"{double_factorial(n)} elements (cap is order {MAX_ENUMERATION_ORDER})"
         )
-    yield from _insert_all(n)
+    blocks: Iterator[bytes] = iter((b"\x01\x01",))
+    for m in range(2, n + 1):
+        blocks = _insert_pairs(blocks, m)
+    return blocks
 
 
-def _insert_all(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        yield (1, 1)
-        return
-    pair = (n, n)
-    for parent in _insert_all(n - 1):
-        for gap in range(2 * n - 1):
-            yield parent[:gap] + pair + parent[gap:]
+def _insert_pairs(parent_blocks: Iterator[bytes], m: int) -> Iterator[bytes]:
+    # child word p*(2m-1) + g of a block is parent p with mm at gap g: one
+    # strided slice assignment per (gap, parent entry) and two for the pair
+    width, size = 2 * m - 2, 2 * m
+    stride = (2 * m - 1) * size
+    for parents in parent_blocks:
+        for start in range(0, len(parents), _BLOCK_PARENTS * width):
+            chunk = parents[start:start + _BLOCK_PARENTS * width]
+            columns = [chunk[b::width] for b in range(width)]
+            pair = bytes((m,)) * (len(chunk) // width)
+            out = bytearray(len(pair) * stride)
+            for g in range(2 * m - 1):
+                base = g * size
+                for b, column in enumerate(columns):
+                    out[base + b + 2 * (b >= g)::stride] = column
+                out[base + g::stride] = pair
+                out[base + g + 1::stride] = pair
+            yield bytes(out)
 
 
 def sample_word(n: int, rng: SplitMix64) -> tuple[int, ...]:
@@ -204,21 +238,60 @@ def sample_uniform(n: int, seed: int) -> StirlingPermutation:
 @functools.cache
 def enumeration_census(n: int) -> tuple[tuple[int, int, int], ...]:
     """Sorted (descents, plateau mask, count) triples over all order-n
-    words, from one walk of ``enumerate_words`` (see the module docstring)."""
-    counts: Counter[tuple[int, int]] = Counter()
-    for word in enumerate_words(n):
-        descents = 1
-        mask = 0
-        it = iter(word)
-        a = next(it)
-        for b in it:
-            if a > b:
-                descents += 1
-            elif a == b:
-                mask |= 1 << a
-            a = b
-        counts[descents, mask] += 1
-    return tuple((d, mask, c) for (d, mask), c in sorted(counts.items()))
+    words, from one walk of ``_word_blocks`` scanned a block at a time by
+    ``_word_sums`` (see the module docstring)."""
+    counts: Counter[int] = Counter()
+    for block in _word_blocks(n):
+        counts.update(_word_sums(block, n))
+    return tuple(
+        sorted(((s >> 9) + 1, (s & 511) << 1, c) for s, c in counts.items())
+    )
+
+
+def _word_sums(block: bytes, n: int) -> Sequence[int]:
+    """For each order-n word of ``block``, in order: 512 times its descents
+    among positions 0..2n-2, plus the sum of 2^(v-1) over its plateaux v v.
+
+    Entry j of the block becomes 16-bit lane j of one int x, holding the
+    one-hot 2^(v-1) of its value v; y = x >> 16 holds entry j+1 in lane j.
+    Lane j of x + (2^15 - 1) - y then has bit 15 set exactly where entry j
+    exceeds entry j+1, and lane j of x & y is the one-hot of a plateau. Each
+    word's last lane is masked out, as it meets the next word. Multiplying
+    by a 1 in each of the word's 2n lanes puts the sum of its lanes in its
+    top lane.
+
+    Exactness through order 9 (``MAX_ENUMERATION_ORDER``): a one-hot is at
+    most 2^8, so every lane of x + (2^15 - 1) - y lies within 2^15 +- 2^8;
+    a lane of the masked sum is at most 512 + 256, and a window of 2n lanes,
+    which may straddle two words, sums to at most 2n*512 + 2*511 < 2^15. So
+    no borrow or carry crosses a lane.
+    """
+    size = 2 * n
+    lanes = bytearray(2 * len(block))
+    lanes[0::2] = block.translate(_ONE_HOT_LOW)
+    lanes[1::2] = block.translate(_ONE_HOT_HIGH)
+    x = int.from_bytes(lanes, "little")
+    y = x >> 16
+    below, descent, plateau, word = _lane_constants(size, len(block))
+    total = ((((x + below - y) & descent) >> 6) | (x & y & plateau)) * word
+    view = memoryview(total.to_bytes(len(lanes) + 2 * size, sys.byteorder)).cast("H")
+    if sys.byteorder == "big":  # the bytes came most significant lane first
+        view = view[::-1]
+    return view[size - 1:len(block):size]
+
+
+@functools.lru_cache(maxsize=2)  # a full block's length, and one partial block's
+def _lane_constants(size: int, length: int) -> tuple[int, int, int, int]:
+    """``_word_sums``'s constants for ``length`` entries of words of ``size``
+    entries: 2^15 - 1 in every lane, bit 15 and then all 16 bits of every
+    lane but each word's last, and a 1 in each of one word's lanes."""
+    words = length // size
+    return (
+        int.from_bytes(b"\xff\x7f" * length, "little"),
+        int.from_bytes((b"\x00\x80" * (size - 1) + b"\x00\x00") * words, "little"),
+        int.from_bytes((b"\xff\xff" * (size - 1) + b"\x00\x00") * words, "little"),
+        int.from_bytes(b"\x01\x00" * size, "little"),
+    )
 
 
 def brute_force_triangle(n: int, stat: str = "descents") -> tuple[int, ...]:

@@ -19,6 +19,7 @@ from stirperm.permutations import (
 )
 from stirperm.polynomial import double_factorial
 from stirperm.rng import MASK64, SplitMix64
+from stirperm.triangle import triangle_row
 
 
 def test_validate_accepts_all_of_order_two():
@@ -151,17 +152,33 @@ def test_triangle_rows_equidistributed_across_statistics():
         assert descents == brute_force_triangle(n, "ascents")
 
 
+def _insert_all(n):
+    # the recursive enumerator the block enumerator replaced, kept as the
+    # reference for its order: parents in order, gaps left to right
+    if n == 1:
+        yield (1, 1)
+        return
+    for parent in _insert_all(n - 1):
+        for gap in range(2 * n - 1):
+            yield parent[:gap] + (n, n) + parent[gap:]
+
+
+def _adjacency_mask(word):
+    mask = 0
+    for a, b in zip(word, word[1:]):
+        if a == b:
+            mask |= 1 << a
+    return mask
+
+
 def test_enumeration_census_matches_a_per_word_scan():
     # reference: the descents of word_statistics, the scan behind
     # sample --stats, and a mask of the adjacent equal pairs
-    for n in range(1, 7):
+    for n in range(1, 8):
         expected = Counter()
         for word in enumerate_words(n):
             stats = word_statistics(word)
-            mask = 0
-            for a, b in zip(word, word[1:]):
-                if a == b:
-                    mask |= 1 << a
+            mask = _adjacency_mask(word)
             assert bin(mask).count("1") == stats.plateaux
             expected[stats.descents, mask] += 1
         census = enumeration_census(n)
@@ -170,17 +187,62 @@ def test_enumeration_census_matches_a_per_word_scan():
     assert enumeration_census(2) == ((1, 0b110, 1), (2, 0b100, 1), (2, 0b110, 1))
 
 
+@pytest.mark.parametrize("parents", [1, 2, 5])
+def test_small_blocks_keep_the_order_and_the_census(monkeypatch, parents):
+    # partial last blocks, and neighbouring words whose boundary lanes the
+    # scan must not compare, at every block boundary
+    from stirperm import permutations
+
+    monkeypatch.setattr(permutations, "_BLOCK_PARENTS", parents)
+    for n in range(1, 7):
+        enumeration_census.cache_clear()
+        try:
+            assert list(enumerate_words(n)) == list(_insert_all(n))
+            expected = Counter(
+                (word_statistics(w).descents, _adjacency_mask(w)) for w in _insert_all(n)
+            )
+            assert enumeration_census(n) == tuple(
+                (d, m, c) for (d, m), c in sorted(expected.items())
+            )
+        finally:
+            enumeration_census.cache_clear()
+
+
+def test_block_scan_at_the_top_lane_of_order_nine():
+    # value 9 is the one-hot 2^8, the high byte of a lane; order 9 is the
+    # widest word the lane bound covers
+    from stirperm.permutations import _word_sums
+
+    rng = SplitMix64(2026)
+    words = [sample_word(9, rng) for _ in range(300)]
+    sums = _word_sums(bytes(v for word in words for v in word), 9)
+    assert len(sums) == len(words)
+    for word, total in zip(words, sums):
+        assert ((total >> 9) + 1, (total & 511) << 1) == (
+            word_statistics(word).descents,
+            _adjacency_mask(word),
+        )
+
+
+def test_order_eight_oracle_matches_the_recurrence_row():
+    # the top order of triangle --oracle
+    census = enumeration_census(8)
+    assert sum(c for _, _, c in census) == double_factorial(8) == 2_027_025
+    for stat in ("descents", "plateaux", "ascents"):
+        assert brute_force_triangle(8, stat) == triangle_row(8)
+
+
 def test_oracle_suites_walk_each_order_once(monkeypatch):
     from stirperm import permutations, verify
 
     walks = Counter()
-    real = permutations.enumerate_words
+    real = permutations._word_blocks
 
     def counting(n):
         walks[n] += 1
         return real(n)
 
-    monkeypatch.setattr(permutations, "enumerate_words", counting)
+    monkeypatch.setattr(permutations, "_word_blocks", counting)
     enumeration_census.cache_clear()
     try:
         for suite in ("triangle", "moments", "identities"):
