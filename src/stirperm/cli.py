@@ -7,9 +7,10 @@ closes stdout early, as ``| head`` does, ends the command silently with
 exit 0. Every command is deterministic given its full flag set; sampling
 commands require an explicit --seed (there is no ambient randomness
 anywhere in the package). Refusals come before any work: each heavy command
-has an order cap, and ``poly --eval`` refuses a point where the value could
-be too long to print. ``triangle --oracle`` compares each row with all three
-statistics' enumeration counts.
+has an order cap, ``roots --width`` has a floor, and ``poly --eval`` refuses
+a point where the value could be too long to print. A rational argument is
+an integer or num/den; exponent notation is a usage error. ``triangle
+--oracle`` compares each row with all three statistics' enumeration counts.
 
 Exact rationals are rendered as "num/den" in CSV and as [num, den] pairs in
 JSON; any decimal shown sits next to its exact form, never instead of it.
@@ -52,9 +53,14 @@ POLY_ORDER_CAP = 1400
 #: Rows stream (26 MiB at the cap), but the text is about n^3 digits:
 #: ``triangle --n-max 1000`` writes 813 MB of JSON in 30 s.
 TRIANGLE_ORDER_CAP = 1000
-#: ``roots --n 300 --interlace`` takes 27-32 s (31 MiB peak), and 200 / 250
+#: ``roots --n 300 --interlace`` takes 31-35 s (22.3 MiB peak), and 200 / 250
 #: take 6.9 / 17 s; the cost grows like n^4.
 ROOTS_ORDER_CAP = 300
+#: ``roots --width`` refuses a narrower width. With it, ``roots --n 300
+#: --interlace`` takes 36.5-45 s (22.5 MiB peak); in one cold run the
+#: refinement added 2.9 s at 2**-32 and 9.4 s at 2**-64, faster growth than
+#: the bits asked for.
+ROOTS_WIDTH_FLOOR = Fraction(1, 2**64)
 #: ``normality --n 1000000 --no-exact --samples 1`` takes 1.8-2.8 s with 31 MiB
 #: peak RSS (20 samples: 7 s); time and memory grow linearly in the order.
 SAMPLING_ORDER_CAP = 1_000_000
@@ -75,24 +81,39 @@ class UsageError(Exception):
 
 
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Compact, key-sorted JSON; a Fraction becomes [num, den]."""
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=Fraction.as_integer_ratio
+    ) + "\n"
 
 
-def _fraction_pair(q: Fraction) -> list[int]:
-    return [q.numerator, q.denominator]
+def _csv_cell(value) -> str:
+    """A Fraction as num/den, a tuple space-joined, anything else by repr."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, tuple):
+        return " ".join(map(_csv_cell, value))
+    return repr(value)
 
 
-def _fraction_text(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+def _write_record(args, payload: dict, columns) -> None:
+    """``payload`` as JSON, or its named ``columns`` as a CSV header and row."""
+    if args.format == "json":
+        text = _json_dumps(payload)
+    else:
+        row = ",".join(_csv_cell(payload[c]) for c in columns)
+        text = ",".join(columns) + "\n" + row + "\n"
+    _write(args.out, text)
 
 
 def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or num/den rational, got {text!r}"
-        ) from None
+    # no exponent notation: Fraction("1e-999999999") would build 10**999999999
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError(f"expected an integer or num/den rational, got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -257,17 +278,15 @@ def _cmd_poly(args) -> int:
     if args.wilf:
         payload["wilf_identity"] = triangle.gessel_stanley_check(args.n)
     if args.eval is not None:
-        value = poly(args.eval)
-        payload["evaluation"] = {
-            "point": _fraction_pair(args.eval),
-            "value": _fraction_pair(Fraction(value)),
-        }
+        payload["evaluation"] = {"point": args.eval, "value": poly(args.eval)}
     _write(args.out, _json_dumps(payload))
     return 0
 
 
 def _cmd_roots(args) -> int:
     _refuse_above(args.n, ROOTS_ORDER_CAP, "root certification")
+    if args.width is not None and args.width < ROOTS_WIDTH_FLOOR:
+        raise ResourceLimitExceeded(f"--width refused below {ROOTS_WIDTH_FLOOR}")
     if args.interlace and args.n < 2:
         raise UsageError("--interlace needs --n >= 2")
     try:
@@ -276,26 +295,32 @@ def _cmd_roots(args) -> int:
     except sturm.CertificationError as exc:
         sys.stderr.write(_json_dumps({"certification_failure": exc.report}))
         return 1
-    payload = sturm.real_root_certificate_payload(cert)
-    status = 0
+    # a failed certification raised above: every field below is proven
+    intervals = cert.isolating_intervals
+    payload = {
+        "n": args.n, "count": len(intervals), "squarefree": True, "verified": True,
+        "intervals": [[*lo.as_integer_ratio(), *hi.as_integer_ratio()] for lo, hi in intervals],
+    }
     if inter is not None:
+        witnesses = [{**vars(w), "root_count": 1} for w in inter.witnesses]
         payload = {
             "real_roots": payload,
-            "interlacing": sturm.interlace_certificate_payload(inter),
+            "interlacing": {"n": args.n, "verified": True, "witnesses": witnesses},
         }
-        if not inter.verified:
-            status = 1
     _write(args.out, _json_dumps(payload))
-    return status
+    return 0
+
+
+_MOMENT_COLUMNS = ("n", "mean", "variance", "s_n")
 
 
 def _moments_payload(n: int) -> dict:
     m = distribution.moments_exact(n)
     return {
         "n": n,
-        "mean": _fraction_pair(m.mean),
-        "variance": _fraction_pair(m.variance),
-        "s_n": _fraction_pair(m.second_moment),
+        "mean": m.mean,
+        "variance": m.variance,
+        "s_n": m.second_moment,
         "mean_decimal": float(m.mean),
         "variance_decimal": float(m.variance),
         "sigma": m.sigma,
@@ -303,16 +328,7 @@ def _moments_payload(n: int) -> dict:
 
 
 def _cmd_moments(args) -> int:
-    if args.format == "json":
-        _write(args.out, _json_dumps(_moments_payload(args.n)))
-        return 0
-    m = distribution.moments_exact(args.n)
-    text = (
-        "n,mean,variance,s_n\n"
-        f"{args.n},{_fraction_text(m.mean)},{_fraction_text(m.variance)},"
-        f"{_fraction_text(m.second_moment)}\n"
-    )
-    _write(args.out, text)
+    _write_record(args, _moments_payload(args.n), _MOMENT_COLUMNS)
     return 0
 
 
@@ -338,7 +354,7 @@ def _cmd_normality(args) -> int:
         payload["seed"] = args.seed
     if args.plot_out or args.plot_normal_out:
         dist = distribution.normalized_distribution(args.n)
-        sigma = distribution.moments_exact(args.n).sigma
+        sigma = payload["sigma"]
         if args.plot_out:
             lines = ["t,density"]
             lines.extend(
@@ -355,45 +371,23 @@ def _cmd_normality(args) -> int:
                 t = lo + (hi - lo) * k / steps
                 lines.append(f"{t!r},{normal_pdf(t)!r}")
             _write(args.plot_normal_out, "\n".join(lines) + "\n")
-    if args.format == "json":
-        _write(args.out, _json_dumps(payload))
-        return 0
-    columns = ["n", "mean", "variance", "s_n"]
-    values = [
-        str(args.n),
-        _fraction_text(distribution.moments_exact(args.n).mean),
-        _fraction_text(distribution.moments_exact(args.n).variance),
-        _fraction_text(distribution.moments_exact(args.n).second_moment),
-    ]
-    for key in ("ks_exact", "ks_empirical"):
-        if key in payload:
-            columns.append(key)
-            values.append(repr(payload[key]))
-    _write(args.out, ",".join(columns) + "\n" + ",".join(values) + "\n")
+    distances = tuple(k for k in ("ks_exact", "ks_empirical") if k in payload)
+    _write_record(args, payload, _MOMENT_COLUMNS + distances)
     return 0
 
 
 def _cmd_mode(args) -> int:
     _refuse_above(args.n, MODE_ORDER_CAP, "mode")
     report = triangle.locate_mode(args.n)
-    if args.format == "json":
-        payload = {
-            "n": report.order,
-            "mean": _fraction_pair(report.mean),
-            "argmax": list(report.argmax_indices),
-            "predicted": list(report.predicted_indices),
-            "within_unit_of_mean": report.within_unit_of_mean,
-            "argmax_in_predicted": report.argmax_in_predicted,
-        }
-        _write(args.out, _json_dumps(payload))
-        return 0
-    text = (
-        "n,mean,argmax,predicted\n"
-        f"{report.order},{_fraction_text(report.mean)},"
-        f"{' '.join(map(str, report.argmax_indices))},"
-        f"{' '.join(map(str, report.predicted_indices))}\n"
-    )
-    _write(args.out, text)
+    payload = {
+        "n": report.order,
+        "mean": report.mean,
+        "argmax": report.argmax_indices,
+        "predicted": report.predicted_indices,
+        "within_unit_of_mean": report.within_unit_of_mean,
+        "argmax_in_predicted": report.argmax_in_predicted,
+    }
+    _write_record(args, payload, ("n", "mean", "argmax", "predicted"))
     return 0
 
 

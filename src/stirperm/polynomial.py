@@ -99,14 +99,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def divide_by_x(self) -> "IntPolynomial":
-        """Shift coefficients down one degree; requires constant term zero."""
-        if self._coeffs and self._coeffs[0] != 0:
-            raise ValueError(
-                f"cannot divide by x: constant coefficient is {self._coeffs[0]}"
-            )
-        return IntPolynomial(self._coeffs[1:])
-
     def sign_at(self, numerator: int, denominator: int = 1) -> int:
         """Exact sign of the value at numerator/denominator (denominator > 0).
 

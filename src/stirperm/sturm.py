@@ -25,11 +25,11 @@ that ``width`` refinement adds are dyadic too.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import IntPolynomial
-from .triangle import descent_polynomial
+from .triangle import descent_polynomial, triangle_row
 
 _GUARD = 256  # bisection steps around one root before declaring failure
 
@@ -81,10 +81,11 @@ def _split(lo: Dyadic, hi: Dyadic) -> Dyadic:
 
 def _witnesses(n: int) -> tuple[tuple[Dyadic, ...], tuple[Dyadic, ...]]:
     """Points t_j of order n and the upper ends of the separators at them."""
-    for m in range(len(_WITNESSES) + 1, n + 1):
-        # P_(n-1) first: it is the builder's last result, and P_n one step on
-        prev = descent_polynomial(m - 1).divide_by_x() if m > 1 else None
-        cur = descent_polynomial(m).divide_by_x()
+    done = len(_WITNESSES)
+    # ascending rows: each is one step of the builder's memo from the last
+    cur = IntPolynomial(triangle_row(done)) if 0 < done < n else None
+    for m in range(done + 1, n + 1):
+        prev, cur = cur, IntPolynomial(triangle_row(m))  # R_(n-1), R_n = P_n / x
         if cur.degree() != m - 1:
             _fail(m, "degree of P_n / x", m - 1, cur.degree())
         if m == 1:
@@ -128,9 +129,6 @@ class RealRootCertificate:
     """P_n has n distinct real roots, none positive, one in each (lo, hi]."""
 
     order: int
-    distinct_real_root_count: int
-    all_nonpositive: bool
-    squarefree: bool
     isolating_intervals: tuple[tuple[Fraction, Fraction], ...]
 
 
@@ -155,26 +153,26 @@ def certify_real_roots(n: int, width: Fraction | None = None) -> RealRootCertifi
             s_mid = p.sign_at(mid.numerator, mid.denominator)
             lo, hi = (mid, hi) if s_mid == s_lo else (lo, mid)
         intervals[i] = (lo, hi)
-    return RealRootCertificate(n, n, True, True, tuple(intervals))
+    return RealRootCertificate(n, tuple(intervals))
 
 
 @dataclass(frozen=True)
 class GapWitness:
-    """R_n changes sign across the gap (lower, upper) between separators."""
+    """R_n changes sign across the gap (lower, upper) between separators, so
+    the gap holds one root of R_n: the degree count leaves no room for more."""
 
     lower: Fraction
     upper: Fraction
     sign_at_lower: int
     sign_at_upper: int
-    root_count: int  # roots of R_n in the gap: 1 by the degree count
 
 
 @dataclass(frozen=True)
 class InterlaceCertificate:
     order: int
-    verified: bool
+    verified: bool  # always True, and failure always None: a failed check raises
     witnesses: tuple[GapWitness, ...]
-    failure: str | None = None  # always None: a failed check raises instead
+    failure: str | None = None
 
 
 def interlace_certificate(n: int) -> InterlaceCertificate:
@@ -185,25 +183,7 @@ def interlace_certificate(n: int) -> InterlaceCertificate:
         return InterlaceCertificate(order=2, verified=True, witnesses=())
     points, uppers = _witnesses(n)
     witnesses = tuple(
-        GapWitness(_fraction(lo), _fraction(hi), (-1) ** (n - 1 - g), (-1) ** (n - 2 - g), 1)
+        GapWitness(_fraction(lo), _fraction(hi), (-1) ** (n - 1 - g), (-1) ** (n - 2 - g))
         for g, (lo, hi) in enumerate(zip(points[:1] + uppers, points[1:]))
     )
     return InterlaceCertificate(n, True, witnesses)
-
-
-def _pair(q: Fraction) -> list[int]:
-    return [q.numerator, q.denominator]
-
-
-def real_root_certificate_payload(cert: RealRootCertificate) -> dict:
-    ok = cert.distinct_real_root_count == cert.order
-    ok = ok and cert.all_nonpositive and cert.squarefree
-    intervals = [_pair(lo) + _pair(hi) for lo, hi in cert.isolating_intervals]
-    return {"n": cert.order, "count": cert.distinct_real_root_count,
-            "squarefree": cert.squarefree, "intervals": intervals, "verified": ok}
-
-
-def interlace_certificate_payload(cert: InterlaceCertificate) -> dict:
-    witnesses = [{**asdict(w), "lower": _pair(w.lower), "upper": _pair(w.upper)}
-                 for w in cert.witnesses]
-    return {"n": cert.order, "verified": cert.verified, "witnesses": witnesses}

@@ -7,8 +7,8 @@ row as a polynomial. Row n counts Stirling permutations of order n by number
 of descents (equally: plateaux, or ascents) of the statistic value
 i = 1..n; it sums to (2n - 1)!!. ``triangle_row`` remembers only the last
 row it returned, so a run of calls in ascending order costs one recurrence
-step each and memory stays at two rows. The certifier walks the orders
-upwards, so it asks for P_(n-1) before P_n.
+step each and memory stays at two rows. The certifier walks the rows
+upwards.
 
 The verify suite checks the rows against the derivative recurrence on the
 polynomials, P_n = (x - x^2) P_(n-1)' + (2n - 1) x P_(n-1), and this module

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -170,6 +171,63 @@ def test_roots_with_interlace_and_width(capsys):
         assert Fraction(hi_n, hi_d) - Fraction(lo_n, lo_d) <= Fraction(1, 64)
 
 
+def test_certificate_json_shape(capsys):
+    code, out, _ = run(capsys, "roots", "--n", "3", "--interlace")
+    assert code == 0
+    payload = json.loads(out)
+    real, inter = payload["real_roots"], payload["interlacing"]
+    assert real["n"] == 3
+    assert real["count"] == 3
+    assert real["squarefree"] is True
+    assert real["verified"] is True
+    assert len(real["intervals"]) == 3
+    assert all(len(entry) == 4 for entry in real["intervals"])
+    assert inter["n"] == 3 and inter["verified"] is True
+    assert len(inter["witnesses"]) == 2
+    for w in inter["witnesses"]:
+        assert set(w) == {"lower", "upper", "sign_at_lower", "sign_at_upper", "root_count"}
+        assert w["root_count"] == 1 and len(w["lower"]) == len(w["upper"]) == 2
+
+
+#: sha256 of each command's stdout, frozen: the documented CSV and JSON
+#: records of exact values must not change by a byte
+_PINNED_STDOUT_SHA256 = {
+    "moments --n 10": "1325616eab258b17a3c468efef77be8094d1afca35800a9e381063d1b3ccf789",
+    "moments --n 10 --format json":
+        "76d973135f9219013207cf991073a1bca81b816c2bd8a32278bb852a1aff3c0d",
+    "mode --n 11": "652ec2e999793c6a5ddb2728c7c5a7b0e46948c351c351b23f7180a284c39a69",
+    "mode --n 11 --format json":
+        "da8ad7a0bfcaab396ba90b3ccc034baba799b02b5615c0934329ae1bfc150d38",
+    "normality --n 10": "72897cb0bd0c0ffb8aac5da128ece45af47fef9f50362ab2c999ba876d28c792",
+    "normality --n 10 --format json":
+        "b49c1692c1f52ea34b9b4150ad752d47ac2e5c26e86c22b8ce7330068337f0fc",
+    "normality --n 10 --samples 500 --seed 7":
+        "a1dc8851530c36610018484b248a5e85577187f1a47e87e6cdb8037abb99f6c3",
+    "normality --n 10 --samples 500 --seed 7 --format json":
+        "e107b58c972855eda076a05cc7ed379862ba203ce62b52cd5aa48887022f56a6",
+    "normality --n 10 --no-exact --samples 500 --seed 7":
+        "ff82685975194e354d4586fcc9ac2744418971a9cb5599011569ad2739a6d230",
+    "normality --n 10 --no-exact --samples 500 --seed 7 --format json":
+        "e1174fcf27f6b03241ffee1b7fd25a87c8d6b3d59d1ad7f36453232bc23a9d7a",
+    "poly --n 6 --wilf --eval 1 --format json":
+        "8b86a7fd17199c4347f69ed1c2ab3900e49aea78cf756d10448176c381eef8cc",
+    "poly --n 6 --eval=-1/2 --format json":
+        "f8c959ba2f980fab2fc26861e7bf39093b1df0cd4e6c3d76326089ae9ea93cd4",
+    "roots --n 1": "50cd8b29c588ce578e367e69632108b974abbad007560e7e34ed5ad4a14c381b",
+    "roots --n 6 --interlace":
+        "49c61a162d5e422c0a3bf6511a1576f0993e8120211e15bbcdc9bba6f6140d6d",
+    "roots --n 6 --width 1/1024":
+        "45e3fa875e22cb2187a07163bb30cf172b3375fcba58c33fedeb5fc7ae84b616",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_STDOUT_SHA256))
+def test_exact_records_print_byte_identical(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT_SHA256[command], out
+
+
 def test_moments_csv_and_json(capsys):
     code, out, _ = run(capsys, "moments", "--n", "2")
     assert code == 0
@@ -269,26 +327,24 @@ _TRIANGLE_SUITE_STDOUT = {
         "PASS  triangle: recurrence row = enumeration counts for "
         "descents/plateaux/ascents, n <= 7\n"
         "PASS  triangle: polynomial route matches triangle route, n <= 200\n"
-        "PASS  triangle: value at 1 equals (2n-1)!!\n"
         "PASS  triangle: mean statistic value equals (2n+1)/3 exactly\n"
         "PASS  triangle: Gessel-Stanley series sum_k S(n+k,k) x^k = "
         "P_n(x)/(1-x)^(2n+1), n <= 120\n"
         "PASS  triangle: peaks within 1 of mean and matching two-case "
         "pattern, n <= 200\n"
-        "7/7 checks passed (triangle)\n"
+        "6/6 checks passed (triangle)\n"
     ),
     True: (
         "PASS  triangle: row sums equal (2n-1)!! for n <= 60\n"
         "PASS  triangle: recurrence row = enumeration counts for "
         "descents/plateaux/ascents, n <= 6\n"
         "PASS  triangle: polynomial route matches triangle route, n <= 60\n"
-        "PASS  triangle: value at 1 equals (2n-1)!!\n"
         "PASS  triangle: mean statistic value equals (2n+1)/3 exactly\n"
         "PASS  triangle: Gessel-Stanley series sum_k S(n+k,k) x^k = "
         "P_n(x)/(1-x)^(2n+1), n <= 16\n"
         "PASS  triangle: peaks within 1 of mean and matching two-case "
         "pattern, n <= 60\n"
-        "7/7 checks passed (triangle, quick)\n"
+        "6/6 checks passed (triangle, quick)\n"
     ),
 }
 
@@ -318,6 +374,31 @@ def test_roots_nonpositive_width_is_usage_error(capsys, width):
         main(["roots", "--n", "3", f"--width={width}"])
     assert exc.value.code == 2
     assert "positive rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["poly", "--n", "3", "--eval", "1e-999999999", "--format", "json"], 2),
+        (["roots", "--n", "3", "--width", "1e-999999999"], 2),
+        (["roots", "--n", "1", "--width", "1e-5000"], 2),
+        (["roots", "--n", "1", "--width", f"1/{2**64 + 1}"], 3),
+        (["roots", "--n", "300", "--interlace", "--width", f"1/{2**80}"], 3),
+        (["roots", "--n", "2", "--width", f"1/{2**64}"], 0),  # the floor itself
+    ],
+    ids=["eval-exponent", "width-exponent", "width-exponent-small", "width-below-floor",
+         "width-below-floor-at-cap", "width-at-floor"],
+)
+def test_rational_refusals_come_before_any_work(argv, code):
+    # a subprocess with a timeout: a refusal that comes too late fails, not hangs
+    env = dict(os.environ, PYTHONPATH=str(Path(stirperm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stirperm", *argv], env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == code, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert (proc.stdout == b"") == (code != 0)
+    assert {0: b"", 2: b"num/den rational", 3: b"resource refusal"}[code] in proc.stderr
 
 
 @pytest.mark.parametrize(

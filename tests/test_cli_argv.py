@@ -120,6 +120,8 @@ def _run(argv):
 
 @settings(max_examples=500, deadline=None)
 @given(argvs())
+@example(["poly", "--n", "3", "--eval", "1e-999999999"])  # once hours of Fraction()
+@example(["roots", "--n", "300", "--width", f"1/{2**80}"])  # below the width floor
 def test_any_argv_exits_0_to_3_without_traceback(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

@@ -61,17 +61,11 @@ def test_eval_examples():
 def test_arithmetic_examples():
     x = IntPolynomial([0, 1])
     assert x + IntPolynomial([0, 0, 2]) == IntPolynomial([0, 1, 2])
-    assert IntPolynomial([0, 1, 2]).divide_by_x() == IntPolynomial([1, 2])
     # (x - x^2)(4x + 1) expands by hand to x + 3x^2 - 4x^3
     product = IntPolynomial([0, 1, -1]) * IntPolynomial([1, 4])
     assert product == IntPolynomial([0, 1, 3, -4])
     for point in (0, 1, -2):
         assert product(point) == (point - point**2) * (4 * point + 1)
-
-
-def test_divide_by_x_rejects_nonzero_constant():
-    with pytest.raises(ValueError):
-        IntPolynomial([1, 2]).divide_by_x()
 
 
 def test_scalar_multiplication_and_pow():

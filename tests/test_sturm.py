@@ -19,8 +19,6 @@ from stirperm.sturm import (
     CertificationError,
     certify_real_roots,
     interlace_certificate,
-    interlace_certificate_payload,
-    real_root_certificate_payload,
 )
 from stirperm.triangle import descent_polynomial, triangle_row
 
@@ -141,21 +139,16 @@ def test_refine_interval_narrows_and_keeps_root():
 
 
 def test_certificate_order_one_and_two():
-    cert = certify_real_roots(1)
-    assert cert.distinct_real_root_count == 1
-    (lo, hi), = cert.isolating_intervals
+    (lo, hi), = certify_real_roots(1).isolating_intervals
     assert lo < 0 <= hi
-    cert2 = certify_real_roots(2)
-    assert cert2.distinct_real_root_count == 2
-    first, second = cert2.isolating_intervals
+    first, second = certify_real_roots(2).isolating_intervals
     assert first[0] < Fraction(-1, 2) <= first[1]
     assert second[0] < Fraction(0) <= second[1]
 
 
 def test_certificate_order_five():
     cert = certify_real_roots(5)
-    assert cert.distinct_real_root_count == 5
-    assert cert.all_nonpositive and cert.squarefree
+    assert len(cert.isolating_intervals) == 5
     bound = root_magnitude_bound(descent_polynomial(5))
     for lo, hi in cert.isolating_intervals:
         assert -bound <= lo < hi <= 0
@@ -176,19 +169,15 @@ def test_certificate_intervals_disjoint_with_sign_change():
 
 def test_certificate_range_small():
     for n in range(1, 21):
-        cert = certify_real_roots(n)
-        assert cert.distinct_real_root_count == n
-        assert len(cert.isolating_intervals) == n
+        assert len(certify_real_roots(n).isolating_intervals) == n
 
 
 def test_certification_failure_reports_structure(monkeypatch):
     import stirperm.sturm as sturm_module
 
-    real = descent_polynomial
-    # x (1 + x)(1 + x^2): degree 4 like P_4, but two of its roots are complex
-    fake = IntPolynomial([0, 1, 1, 1, 1])
+    # R_4 = (1 + x)(1 + x^2): degree 3 like P_4 / x, but two of its roots are complex
     monkeypatch.setattr(
-        sturm_module, "descent_polynomial", lambda n: fake if n == 4 else real(n)
+        sturm_module, "triangle_row", lambda n: (1, 1, 1, 1) if n == 4 else triangle_row(n)
     )
     monkeypatch.setattr(sturm_module, "_WITNESSES", {})
     with pytest.raises(CertificationError) as exc:
@@ -205,10 +194,8 @@ def test_verify_reports_failed_certificate_instead_of_raising(monkeypatch):
     import stirperm.sturm as sturm_module
     from stirperm import verify
 
-    real = descent_polynomial
-    fake = IntPolynomial([0, 1, 1, 1, 1])  # as in the test above
-    monkeypatch.setattr(
-        sturm_module, "descent_polynomial", lambda n: fake if n == 4 else real(n)
+    monkeypatch.setattr(  # as in the test above
+        sturm_module, "triangle_row", lambda n: (1, 1, 1, 1) if n == 4 else triangle_row(n)
     )
     monkeypatch.setattr(sturm_module, "_WITNESSES", {})
     for suite in ("realroots", "interlace"):
@@ -231,7 +218,6 @@ def test_interlace_order_three_brackets_known_root():
     below, above = cert.witnesses
     assert below.upper < Fraction(-1, 2) <= above.lower
     for witness in cert.witnesses:
-        assert witness.root_count == 1
         assert witness.sign_at_lower * witness.sign_at_upper < 0
 
 
@@ -257,24 +243,6 @@ def test_float_root_finder_diagnostic_agrees():
         assert len(real) == n
         assert all(r.real < 1e-9 for r in real)
         assert count_real_roots(p) == n
-
-
-def test_certificate_json_shape():
-    import json
-
-    def round_trip(payload):
-        return json.loads(json.dumps(payload))
-
-    payload = round_trip(real_root_certificate_payload(certify_real_roots(3)))
-    assert payload["n"] == 3
-    assert payload["count"] == 3
-    assert payload["squarefree"] is True
-    assert payload["verified"] is True
-    assert len(payload["intervals"]) == 3
-    assert all(len(entry) == 4 for entry in payload["intervals"])
-    inter = round_trip(interlace_certificate_payload(interlace_certificate(3)))
-    assert inter["n"] == 3 and inter["verified"] is True
-    assert len(inter["witnesses"]) == 2
 
 
 # --- independent replay of the certificates ----------------------------------
@@ -314,7 +282,6 @@ def test_replay_certificates_through_order_one_hundred():
             assert w.sign_at_lower == sign_r(w.lower)
             assert w.sign_at_upper == sign_r(w.upper)
             assert w.sign_at_lower * w.sign_at_upper == -1
-            assert w.root_count == 1
 
 
 def test_oracle_counts_one_root_per_interval_and_gap():
@@ -324,8 +291,8 @@ def test_oracle_counts_one_root_per_interval_and_gap():
             assert chain.count_roots(lo, hi) == 1
         if n < 3:
             continue
-        cur = SturmChain(descent_polynomial(n).divide_by_x())
-        prev = SturmChain(descent_polynomial(n - 1).divide_by_x())
+        prev = SturmChain(IntPolynomial(triangle_row(n - 1)))
+        cur = SturmChain(IntPolynomial(triangle_row(n)))
         witnesses = interlace_certificate(n).witnesses
         for w in witnesses:
             assert cur.count_roots(w.lower, w.upper) == 1
