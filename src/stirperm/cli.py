@@ -302,7 +302,7 @@ def _cmd_roots(args) -> int:
         "intervals": [[*lo.as_integer_ratio(), *hi.as_integer_ratio()] for lo, hi in intervals],
     }
     if inter is not None:
-        witnesses = [{**vars(w), "root_count": 1} for w in inter.witnesses]
+        witnesses = [{**w._asdict(), "root_count": 1} for w in inter.witnesses]
         payload = {
             "real_roots": payload,
             "interlacing": {"n": args.n, "verified": True, "witnesses": witnesses},

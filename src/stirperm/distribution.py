@@ -17,10 +17,10 @@ rationals meet the normal CDF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import sqrt
+from typing import NamedTuple
 
 from .permutations import (
     MAX_ENUMERATION_ORDER,
@@ -33,8 +33,7 @@ from .special import normal_cdf
 from .triangle import triangle_row
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(NamedTuple):
     order: int
     mean: Fraction
     second_moment: Fraction
@@ -81,8 +80,7 @@ def brute_force_moments(n: int) -> tuple[Fraction, Fraction]:
 
 # --- plateau indicator variables --------------------------------------------
 
-@dataclass(frozen=True)
-class PlateauIndicator:
+class PlateauIndicator(NamedTuple):
     """Probability that the two copies of ``value`` sit adjacent in a
     uniform order-n permutation."""
 
@@ -176,8 +174,7 @@ def indicator_pair_step_checks(n: int) -> bool:
 
 # --- standardized distribution and distances --------------------------------
 
-@dataclass(frozen=True)
-class NormalizedDistribution:
+class NormalizedDistribution(NamedTuple):
     """Exact law of the statistic on values 1..n: the triangle row
     ``counts`` over ``population`` = (2n - 1)!!, with the standardized
     support points (value - mean)/sigma."""

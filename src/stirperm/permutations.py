@@ -37,8 +37,7 @@ from __future__ import annotations
 import functools
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .polynomial import double_factorial
 from .rng import SplitMix64
@@ -55,6 +54,9 @@ _BLOCK_PARENTS = 64
 # low and high byte of the 16-bit one-hot lane 2^(v-1) of an entry v <= 9
 _ONE_HOT_LOW = bytes((1 << v - 1) & 255 if 0 < v <= 8 else 0 for v in range(256))
 _ONE_HOT_HIGH = bytes(v == 9 for v in range(256))
+
+# an entry 0..9 as the byte of its digit, for ``format_word``
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
 class InvalidPermutation(ValueError):
@@ -75,8 +77,7 @@ class ResourceLimitExceeded(RuntimeError):
     """Request exceeds a documented size cap (CLI exit code 3)."""
 
 
-@dataclass(frozen=True)
-class StatCounts:
+class StatCounts(NamedTuple):
     ascents: int
     descents: int
     plateaux: int
@@ -86,8 +87,7 @@ class StatCounts:
         return self.ascents + self.descents + self.plateaux
 
 
-@dataclass(frozen=True)
-class StirlingPermutation:
+class StirlingPermutation(NamedTuple):
     """A validated word; construct through ``from_word`` at trust boundaries.
 
     The plain constructor does not re-check the invariants (enumeration and
@@ -312,10 +312,10 @@ def brute_force_triangle(n: int, stat: str = "descents") -> tuple[int, ...]:
 
 def format_word(word: Sequence[int]) -> str:
     """Text form: digits run together while all values fit in one digit,
-    comma-separated from order 10 up."""
+    comma-separated from order 10 up. Entries are non-negative."""
     if word and max(word) > 9:
-        return ",".join(str(v) for v in word)
-    return "".join(str(v) for v in word)
+        return ",".join(map(str, word))
+    return bytes(word).translate(_DIGITS).decode()
 
 
 def parse_word(text: str) -> tuple[int, ...]:

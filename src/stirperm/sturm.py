@@ -24,9 +24,8 @@ that ``width`` refinement adds are dyadic too.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polynomial import IntPolynomial
 from .triangle import descent_polynomial, triangle_row
@@ -44,7 +43,7 @@ class CertificationError(RuntimeError):
     """A certification check failed; ``report`` says which and how."""
 
     def __init__(self, report: dict):
-        super().__init__(json.dumps(report, sort_keys=True, default=str))
+        super().__init__(", ".join(f"{key}: {report[key]}" for key in sorted(report)))
         self.report = report
 
 
@@ -124,8 +123,7 @@ def _witnesses(n: int) -> tuple[tuple[Dyadic, ...], tuple[Dyadic, ...]]:
     return _WITNESSES[n]
 
 
-@dataclass(frozen=True)
-class RealRootCertificate:
+class RealRootCertificate(NamedTuple):
     """P_n has n distinct real roots, none positive, one in each (lo, hi]."""
 
     order: int
@@ -156,8 +154,7 @@ def certify_real_roots(n: int, width: Fraction | None = None) -> RealRootCertifi
     return RealRootCertificate(n, tuple(intervals))
 
 
-@dataclass(frozen=True)
-class GapWitness:
+class GapWitness(NamedTuple):
     """R_n changes sign across the gap (lower, upper) between separators, so
     the gap holds one root of R_n: the degree count leaves no room for more."""
 
@@ -167,8 +164,7 @@ class GapWitness:
     sign_at_upper: int
 
 
-@dataclass(frozen=True)
-class InterlaceCertificate:
+class InterlaceCertificate(NamedTuple):
     order: int
     verified: bool  # always True, and failure always None: a failed check raises
     witnesses: tuple[GapWitness, ...]

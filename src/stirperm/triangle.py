@@ -20,10 +20,10 @@ numbers of the second kind,
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 from .polynomial import IntPolynomial
 
@@ -106,8 +106,7 @@ def gessel_stanley_check(n: int) -> bool:
     return next(gessel_stanley_checks((n,)))[1]
 
 
-@dataclass(frozen=True)
-class ModeReport:
+class ModeReport(NamedTuple):
     """Where the maximal entries of row n sit, against the unit-distance
     bound around the mean statistic value."""
 

@@ -7,8 +7,8 @@ flat CheckResult records so callers can print one line per check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import distribution, sturm, triangle
 from .permutations import (
@@ -74,8 +74,7 @@ _QUICK = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool

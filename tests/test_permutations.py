@@ -292,3 +292,18 @@ def test_word_text_format_round_trip():
     assert "," in format_word(big)
     with pytest.raises(InvalidPermutation):
         parse_word("12a1")
+
+
+def _generator_format_word(word):
+    # the generator form ``format_word`` had before its byte table: the reference
+    if word and max(word) > 9:
+        return ",".join(str(v) for v in word)
+    return "".join(str(v) for v in word)
+
+
+def test_word_text_matches_the_generator_form():
+    words = [w for n in range(1, 7) for w in enumerate_words(n)]
+    rng = SplitMix64(2024)
+    words += [sample_word(9, rng) for _ in range(1000)]
+    words += [sample_word(n, rng) for n in (10, 12) for _ in range(200)]
+    assert [format_word(w) for w in words] == [_generator_format_word(w) for w in words]
