@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import distribution, sturm, triangle, verify
+from . import distribution, sturm, triangle
 from .permutations import (
     ResourceLimitExceeded,
     STAT_LABELS,
@@ -53,13 +53,12 @@ POLY_ORDER_CAP = 1400
 #: Rows stream (26 MiB at the cap), but the text is about n^3 digits:
 #: ``triangle --n-max 1000`` writes 813 MB of JSON in 30 s.
 TRIANGLE_ORDER_CAP = 1000
-#: ``roots --n 300 --interlace`` takes 31-35 s (22.3 MiB peak), and 200 / 250
-#: take 6.9 / 17 s; the cost grows like n^4.
+#: ``roots --n 300 --interlace`` takes 22-30 s (21.4 MiB peak), and 200 takes
+#: 5.4-6.1 s (18 MiB); the cost grows like n^4.
 ROOTS_ORDER_CAP = 300
-#: ``roots --width`` refuses a narrower width. With it, ``roots --n 300
-#: --interlace`` takes 36.5-45 s (22.5 MiB peak); in one cold run the
-#: refinement added 2.9 s at 2**-32 and 9.4 s at 2**-64, faster growth than
-#: the bits asked for.
+#: ``roots --width`` refuses a narrower width. At the floor, ``roots --n 300
+#: --interlace`` takes 37.6-37.9 s (21.6 MiB peak): bisecting its 300
+#: intervals to 64 bits adds 7-15 s, and 200 takes 10.3-11.7 s.
 ROOTS_WIDTH_FLOOR = Fraction(1, 2**64)
 #: ``normality --n 1000000 --no-exact --samples 1`` takes 1.8-2.8 s with 31 MiB
 #: peak RSS (20 samples: 7 s); time and memory grow linearly in the order.
@@ -74,6 +73,10 @@ _PRINTABLE_BITS = 14284
 
 _ORACLE_ORDER_CAP = 8
 _SAMPLE_CHUNK_LINES = 4096
+#: ``verify.SUITE_NAMES``, spelled out so that no other command imports verify
+_SUITE_NAMES = (
+    "all", "triangle", "realroots", "interlace", "moments", "identities", "sampler", "clt",
+)
 
 
 class UsageError(Exception):
@@ -228,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, fmt=False)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", choices=verify.SUITE_NAMES, default="all")
+    p.add_argument("--suite", choices=_SUITE_NAMES, default="all")
     p.add_argument("--quick", action="store_true",
                    help="trimmed ranges for a fast smoke run")
 
@@ -409,6 +412,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_suite(args.suite, quick=args.quick)
     failures = 0
     for r in results:

@@ -18,8 +18,11 @@ bits in its middle half; both come from bit lengths and one xor. t_0 is a
 power of two, doubled from order n-1's until R_n has the right sign, and
 at most the first power of two at or above Cauchy's root bound. Signs are
 taken at denominator 2^k, where ``sign_at`` shifts instead of multiplying.
-Points become ``Fraction`` only when a certificate is built; the midpoints
-that ``width`` refinement adds are dyadic too.
+Each sign is taken once: order n keeps R_n's sign at every point it tried,
+and order n+1, which bisects R_n at many of the same points, reads them
+back, but only while the kept polynomial is the R_n it bisects. Points
+become ``Fraction`` only when a certificate is built; the midpoints that
+``width`` refinement adds are dyadic too.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ Dyadic = tuple[int, int]
 #: order -> (points t_j, upper ends of the separators); filled in order
 _WITNESSES: dict[int, tuple[tuple[Dyadic, ...], tuple[Dyadic, ...]]] = {}
 
+#: (R_n, its sign at every point where the walk took it) for the last order
+#: built; order n+1 bisects R_n at many of the same points. The polynomial
+#: guards against a map left by another walk (a failed or patched one).
+_CARRIED: tuple[IntPolynomial, dict[Dyadic, int]] = IntPolynomial(), {}
+
 
 class CertificationError(RuntimeError):
     """A certification check failed; ``report`` says which and how."""
@@ -52,8 +60,11 @@ def _fail(order: int, stage: str, expected, observed):
     raise CertificationError(report)
 
 
-def _sign(p: IntPolynomial, x: Dyadic) -> int:
-    return p.sign_at(x[0], 1 << x[1])
+def _sign(p: IntPolynomial, x: Dyadic, signs: dict[Dyadic, int]) -> int:
+    """p's sign at x, taken once: ``signs`` holds p's signs found so far."""
+    if (s := signs.get(x)) is None:
+        s = signs[x] = p.sign_at(x[0], 1 << x[1])
+    return s
 
 
 def _fraction(x: Dyadic) -> Fraction:
@@ -80,6 +91,7 @@ def _split(lo: Dyadic, hi: Dyadic) -> Dyadic:
 
 def _witnesses(n: int) -> tuple[tuple[Dyadic, ...], tuple[Dyadic, ...]]:
     """Points t_j of order n and the upper ends of the separators at them."""
+    global _CARRIED
     done = len(_WITNESSES)
     # ascending rows: each is one step of the builder's memo from the last
     cur = IntPolynomial(triangle_row(done)) if 0 < done < n else None
@@ -91,14 +103,16 @@ def _witnesses(n: int) -> tuple[tuple[Dyadic, ...], tuple[Dyadic, ...]]:
             _WITNESSES[1] = ((0, 0),), ()
             continue
         below = _WITNESSES[m - 1][0]
+        at_prev = _CARRIED[1] if _CARRIED[0] == prev else {}
+        _CARRIED = cur, (at_cur := {})
         # each root r of R_n has |r| < 1 + biggest / lead <= 2^e = cap
         lead = abs(cur.coefficients[-1])
         biggest = max(map(abs, cur.coefficients))
         cap = 1 << (-(-biggest // lead)).bit_length()
         t_0 = below[0][0] or -1  # -2^e: order n-1's t_0, or -1 at order 2
-        while -t_0 < cap and _sign(cur, (t_0, 0)) != (-1) ** (m - 1):
+        while -t_0 < cap and _sign(cur, (t_0, 0), at_cur) != (-1) ** (m - 1):
             t_0 *= 2
-        at_below, separators = [_sign(cur, x) for x in below], []
+        at_below, separators = [_sign(cur, x, at_cur) for x in below], []
         for j in range(1, m - 1):
             # R_(n-1): one root in ends, sign `want` at ends[0] (R_n's at the root)
             want = (-1) ** (m - 1 - j)
@@ -107,16 +121,16 @@ def _witnesses(n: int) -> tuple[tuple[Dyadic, ...], tuple[Dyadic, ...]]:
                 if at == [want, want]:
                     break
                 mid = _split(*ends)
-                if (s_prev := _sign(prev, mid)) == 0:  # the root of R_(n-1): step off
+                if (s_prev := _sign(prev, mid, at_prev)) == 0:  # the root of R_(n-1): step off
                     mid = _split(mid, ends[1])
-                    s_prev = _sign(prev, mid)
+                    s_prev = _sign(prev, mid, at_prev)
                 side = int(s_prev != want)
-                ends[side], at[side] = mid, _sign(cur, mid)
+                ends[side], at[side] = mid, _sign(cur, mid, at_cur)
             else:
                 _fail(m, f"signs around root {j} of P_(n-1) / x", [want, want], at)
             separators.append(ends)
         for x, want in (((t_0, 0), (-1) ** (m - 1)), ((0, 0), 1)):
-            if (observed := _sign(cur, x)) != want:
+            if (observed := _sign(cur, x, at_cur)) != want:
                 _fail(m, f"sign of P_n / x at {_fraction(x)}", want, observed)
         points = ((t_0, 0), *(lo for lo, _ in separators), (0, 0))
         _WITNESSES[m] = points, tuple(hi for _, hi in separators)
@@ -140,7 +154,7 @@ def certify_real_roots(n: int, width: Fraction | None = None) -> RealRootCertifi
     if n > 1:
         a, j = points[-2]
         k = max(0, j + 2 - (-a).bit_length())
-    while _sign(p, (-1, k)) >= 0:  # P_n = x R_n: R_n(u) > 0
+    while p.sign_at(-1, 1 << k) >= 0:  # P_n = x R_n: R_n(u) > 0
         k += 1
     ends = [_fraction(x) for x in points[:-1] + ((-1, k), (0, 0))]
     intervals = list(zip(ends, ends[1:]))

@@ -315,6 +315,12 @@ def test_sample_enumeration_cap_not_applied_to_sampling(capsys):
     assert out.count(",") == 79
 
 
+def test_suite_choices_are_verify_suite_names():
+    from stirperm import cli, verify
+
+    assert cli._SUITE_NAMES == verify.SUITE_NAMES
+
+
 def test_verify_suite_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "sampler", "--quick")
     assert code == 0

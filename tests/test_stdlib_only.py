@@ -52,4 +52,4 @@ def test_import_footprint_leaves_out_dataclasses_inspect_and_json():
     assert {"dataclasses", "inspect", "json"}.isdisjoint(added)
     added = _modules_added("import stirperm.cli")
     assert "stirperm.cli" in added
-    assert {"dataclasses", "inspect"}.isdisjoint(added)
+    assert {"dataclasses", "inspect", "stirperm.verify"}.isdisjoint(added)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from sturm_oracle import (
     sign_towards_infinity,
 )
 
+import stirperm.sturm as sturm_module
 from stirperm.polynomial import IntPolynomial
 from stirperm.sturm import (
     CertificationError,
@@ -172,13 +174,13 @@ def test_certificate_range_small():
         assert len(certify_real_roots(n).isolating_intervals) == n
 
 
-def test_certification_failure_reports_structure(monkeypatch):
-    import stirperm.sturm as sturm_module
-
+def _fake_row_four(n):
     # R_4 = (1 + x)(1 + x^2): degree 3 like P_4 / x, but two of its roots are complex
-    monkeypatch.setattr(
-        sturm_module, "triangle_row", lambda n: (1, 1, 1, 1) if n == 4 else triangle_row(n)
-    )
+    return (1, 1, 1, 1) if n == 4 else triangle_row(n)
+
+
+def test_certification_failure_reports_structure(monkeypatch):
+    monkeypatch.setattr(sturm_module, "triangle_row", _fake_row_four)
     monkeypatch.setattr(sturm_module, "_WITNESSES", {})
     with pytest.raises(CertificationError) as exc:
         certify_real_roots(4)
@@ -191,12 +193,9 @@ def test_certification_failure_reports_structure(monkeypatch):
 
 
 def test_verify_reports_failed_certificate_instead_of_raising(monkeypatch):
-    import stirperm.sturm as sturm_module
     from stirperm import verify
 
-    monkeypatch.setattr(  # as in the test above
-        sturm_module, "triangle_row", lambda n: (1, 1, 1, 1) if n == 4 else triangle_row(n)
-    )
+    monkeypatch.setattr(sturm_module, "triangle_row", _fake_row_four)
     monkeypatch.setattr(sturm_module, "_WITNESSES", {})
     for suite in ("realroots", "interlace"):
         (result,) = verify.run_suite(suite, quick=True)
@@ -258,10 +257,10 @@ def _sign(q) -> int:
     return (q > 0) - (q < 0)
 
 
-def test_replay_certificates_through_order_one_hundred():
-    """Re-check every certificate for n <= 100 with Fraction arithmetic on
+def _replay_certificates(orders):
+    """Re-check the certificates of ``orders`` with Fraction arithmetic on
     the entry recurrence's row, sharing no code with the certifier."""
-    for n in range(1, 101):
+    for n in orders:
         row = triangle_row(n)
         sign_p = functools.cache(lambda x: _sign(_value((0,) + row, x)))  # P_n
         sign_r = functools.cache(lambda x: _sign(_value(row, x)))  # P_n / x
@@ -282,6 +281,27 @@ def test_replay_certificates_through_order_one_hundred():
             assert w.sign_at_lower == sign_r(w.lower)
             assert w.sign_at_upper == sign_r(w.upper)
             assert w.sign_at_lower * w.sign_at_upper == -1
+
+
+def test_replay_certificates_through_order_one_hundred():
+    _replay_certificates(range(1, 101))
+
+
+def test_signs_left_by_a_failed_walk_are_not_read(monkeypatch):
+    """The walk over orders 1..4 with a false R_4 fails after orders 1..3
+    held, leaving R_4's signs behind. Walking on from order 3 with the true
+    rows must not take them for R_3's: that would steer the bisection of R_3
+    and move the separators, which the replay (it checks R_n's signs) cannot
+    see but the golden digest of the witnesses can."""
+    monkeypatch.setattr(sturm_module, "_WITNESSES", {})
+    monkeypatch.setattr(sturm_module, "_CARRIED", (IntPolynomial(), {}))
+    monkeypatch.setattr(sturm_module, "triangle_row", _fake_row_four)
+    with pytest.raises(CertificationError):
+        certify_real_roots(4)
+    monkeypatch.setattr(sturm_module, "triangle_row", triangle_row)
+    assert sorted(sturm_module._WITNESSES) == [1, 2, 3]
+    _replay_certificates(range(1, 31))
+    assert _sha256(tuple(sturm_module._witnesses(n) for n in range(1, 81))) == _WITNESS_DIGEST
 
 
 def test_oracle_counts_one_root_per_interval_and_gap():
@@ -322,3 +342,52 @@ def test_width_refinement_keeps_one_root_per_interval():
         assert chain.count_roots(lo, hi) == 1
     with pytest.raises(ValueError):
         certify_real_roots(3, width=Fraction(0))
+
+
+# --- identity with the certifier before signs were carried, and its cost ---
+
+#: sha256 digests taken from the certifier before signs were carried across
+#: orders
+_WITNESS_DIGEST = "1b4314421264e20a3a660995f217c35ba02b7656fc298cbba9fda7ad7d09f39d"
+_INTERVAL_DIGESTS = {
+    Fraction(1, 2**64): "ca1ad1588fed05f0ffe3a4774dcb12bdf13019cdba1c2fa0aa645f022553e3a8",
+    Fraction(1, 1024): "a524fb88364b2bcb8042b0ca5871bedaf264e85526130d58caa8dc51174169b6",
+    Fraction(1, 3): "e1a76169e16cca767680153872457e170f9f73612bcf6e25aeba196571668e47",
+}
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_witnesses_match_their_golden_digest():
+    assert _sha256(tuple(sturm_module._witnesses(n) for n in range(1, 81))) == _WITNESS_DIGEST
+
+
+@pytest.mark.parametrize("width", sorted(_INTERVAL_DIGESTS))
+def test_refined_intervals_match_their_golden_digest(width):
+    intervals = tuple(certify_real_roots(n, width=width).isolating_intervals for n in range(1, 41))
+    assert _sha256(intervals) == _INTERVAL_DIGESTS[width]
+
+
+def test_width_may_be_a_float():
+    # a float compares exactly against a Fraction, so 1e-3 is Fraction(1e-3)
+    for n in range(1, 21):
+        exact = certify_real_roots(n, width=Fraction(1e-3)).isolating_intervals
+        assert certify_real_roots(n, width=1e-3).isolating_intervals == exact
+
+
+def test_witnesses_take_each_sign_once(monkeypatch):
+    # before signs were carried across orders: 4,057 evaluations
+    monkeypatch.setattr(sturm_module, "_WITNESSES", {})
+    monkeypatch.setattr(sturm_module, "_CARRIED", (IntPolynomial(), {}))
+    calls = [0]
+    sign_at = IntPolynomial.sign_at
+
+    def counted(self, *args):
+        calls[0] += 1
+        return sign_at(self, *args)
+
+    monkeypatch.setattr(IntPolynomial, "sign_at", counted)
+    sturm_module._witnesses(40)
+    assert calls[0] <= 2929
