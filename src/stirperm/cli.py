@@ -41,12 +41,18 @@ from .special import normal_pdf
 # Order caps, each measured cold at the cap on a 2-core, 7 GiB host; a
 # request above its cap exits 3 before any work.
 #: ``normality`` (exact distance or plots) and ``mode`` build one row in
-#: about n^3.3 bit operations, holding two rows: at n = 2000 / 3000 they take
-#: 4.6 / 16 s with 27 / 42 MiB peak RSS.
+#: about n^3.3 bit operations, holding two rows. With a helper process on
+#: the row's right block, ``normality --n 2000 / 3000`` take 3.0-3.4 /
+#: 11-13 s with 22 / 30.5 MiB peak RSS, the helper 17.6 / 26.7 MiB
+#: (``mode --n 3000``: 10.4-10.9 s, 30.5 and 26.9 MiB). In one process, as
+#: on one CPU, they take 4.7 / 18 s (mode: 16 s) with 26 / 41 MiB, which
+#: keeps the cap.
 EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
-#: ``poly --n 1400 --wilf --format json`` takes 9-13 s with 48 MiB peak RSS
+#: ``poly --n 1400 --wilf --format json`` takes 14 s with 47 MiB peak RSS
 #: (1000: 3.4-3.7 s, 31 MiB), most of it the Gessel-Stanley check's Stirling
-#: walk. From order 1424 on, P_n(1) = (2n-1)!!, and from
+#: walk; row 1400 takes 1.1-1.3 s with a 14 MiB helper while the second
+#: core is free (1.5-2.0 s in one process). From order 1424 on,
+#: P_n(1) = (2n-1)!!, and from
 #: 1425 the largest coefficient, pass Python's default limit of 4300 digits
 #: for printing an int, so the cap stays below that.
 POLY_ORDER_CAP = 1400

@@ -10,6 +10,17 @@ row it returned, so a run of calls in ascending order costs one recurrence
 step each and memory stays at two rows. The certifier walks the rows
 upwards.
 
+Entry i of row m reads only entries i - 1 and i of row m - 1, so a large
+extension is split between two processes when at least two CPUs are
+usable: this one computes entries 1..k of every row and hands T(m, k) row
+by row to a helper, a bare ``python -I -S`` running ``rowstep.py``, which
+computes entries k+1..m and returns row n's. Both run the same recurrence
+step on the same integers, so the row is bit-identical to the serial one.
+Whether to split depends only on the two orders and the CPU count (see
+``_SPLIT_WORK``). If the helper cannot start, exits nonzero or replies
+short or malformed, the row is computed here from the same starting row,
+and the helper has always been reaped before ``triangle_row`` returns.
+
 The verify suite checks the rows against the derivative recurrence on the
 polynomials, P_n = (x - x^2) P_(n-1)' + (2n - 1) x P_(n-1), and this module
 checks them against Gessel and Stanley's definition of P_n through Stirling
@@ -19,6 +30,8 @@ numbers of the second kind,
 
 from __future__ import annotations
 
+import os
+import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import accumulate
@@ -26,8 +39,19 @@ from operator import mul
 from typing import NamedTuple
 
 from .polynomial import IntPolynomial
+from .rowstep import read_int, step, write_int
 
 _last_row: tuple[int, ...] = (1,)
+
+#: Extending row m0 to row n costs about n^3 - m0^3 units (row m has m
+#: entries of about m bits); above this many units a helper process takes
+#: the right block. Measured on a 2-core host whose second core is often
+#: busy, where ``python -I -S`` starts in 20-30 ms, one process / split:
+#: rows 1 -> 600 (2.2e8 units) 0.12-0.17 / 0.12-0.20 s; 400 -> 800 (4.5e8)
+#: 0.30-0.34 / 0.17-0.20 s with the second core free, 0.34-0.35 s without;
+#: 800 -> 1200 (1.2e9) 0.65-1.1 / 0.47-0.57 s free, 0.70-0.98 s without.
+_SPLIT_WORK = 3 * 10**8
+_HELPER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "rowstep.py")
 
 
 def triangle_row(n: int) -> tuple[int, ...]:
@@ -37,13 +61,76 @@ def triangle_row(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     row = _last_row if len(_last_row) <= n else (1,)
-    for m in range(len(row) + 1, n + 1):
-        row = tuple(
-            i * a + (2 * m - i) * b
-            for i, a, b in zip(range(1, m + 1), row + (0,), (0,) + row)
-        )
+    if n**3 - len(row) ** 3 > _SPLIT_WORK and _usable_cpus() > 1:
+        # k balances the bits the two blocks compute: 5n/13 from row 1, 523
+        # for 800 -> 1200. None when the helper fails, and this process then
+        # extends the same starting row alone.
+        row = _extend_split(row, n, (5 * n + len(row)) // 13) or _extend(row, n)
+    else:
+        row = _extend(row, n)
     _last_row = row
     return row
+
+
+def _extend(row: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Row n from an earlier ``row``, one step at a time."""
+    for m in range(len(row) + 1, n + 1):
+        row = step(m, range(1, m + 1), row)
+    return row
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def _extend_split(row: tuple[int, ...], n: int, k: int) -> tuple[int, ...] | None:
+    """Row n from an earlier ``row`` (1 <= k < n): entries 1..k here and
+    entries k+1..n in a helper process running ``rowstep.py``, which gets
+    T(m, k) from here row by row. None when the helper cannot start, exits
+    nonzero or replies short or malformed. The helper has been reaped by the
+    time this returns."""
+    import subprocess
+
+    start = max(len(row), k)
+    try:
+        helper = subprocess.Popen(
+            [sys.executable, "-I", "-S", _HELPER],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+    except OSError:
+        return None
+    send = helper.stdin
+    try:
+        for m in range(len(row) + 1, start + 1):  # rows that lie wholly left of k
+            row = step(m, range(1, m + 1), row)
+        for value in (n, k, start, *row[k:], row[k - 1]):
+            write_int(send, value)
+        left = row[:k]
+        for m in range(start + 1, n + 1):
+            send.flush()  # T(m-1, k) goes out before this row's work
+            left = step(m, range(1, k + 1), left)
+            if m < n:
+                write_int(send, left[-1])
+        send.close()
+        right = tuple(read_int(helper.stdout) for _ in range(n - k))
+        if helper.stdout.read(1) or helper.wait() != 0:
+            return None
+    except (OSError, EOFError):
+        return None
+    finally:
+        if helper.poll() is None:
+            helper.kill()
+        helper.wait()
+        for pipe in (send, helper.stdout):
+            try:
+                pipe.close()
+            except OSError:  # bytes the helper never read
+                pass
+    return left + right
 
 
 def triangle_rows(n_max: int) -> list[tuple[int, ...]]:

@@ -246,24 +246,28 @@ def test_float_root_finder_diagnostic_agrees():
 
 # --- independent replay of the certificates ----------------------------------
 
-def _value(coefficients, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coefficients):
-        acc = acc * x + c
-    return acc
-
-
-def _sign(q) -> int:
-    return (q > 0) - (q < 0)
+def _dyadic_sign(coefficients, x: Fraction) -> int:
+    """Sign of the polynomial at the dyadic x = a / 2^e, by Horner's rule on
+    integers: its value times 2^(e * degree)."""
+    shift = x.denominator.bit_length() - 1
+    assert x.denominator == 1 << shift, x
+    acc = 0
+    for j, c in enumerate(reversed(coefficients)):
+        acc = acc * x.numerator + (c << shift * j)
+    return (acc > 0) - (acc < 0)
 
 
 def _replay_certificates(orders):
-    """Re-check the certificates of ``orders`` with Fraction arithmetic on
-    the entry recurrence's row, sharing no code with the certifier."""
+    """Re-check the certificates of ``orders`` with exact integer arithmetic
+    on the entry recurrence's rows, sharing no code with the certifier: P_n
+    changes sign across each isolating interval, R_n = P_n / x has the
+    recorded opposite signs at the ends of each interlacing witness, and
+    R_(n-1) changes sign between consecutive witnesses."""
     for n in orders:
+        prev = triangle_row(n - 1) if n > 1 else ()  # R_(n-1)
         row = triangle_row(n)
-        sign_p = functools.cache(lambda x: _sign(_value((0,) + row, x)))  # P_n
-        sign_r = functools.cache(lambda x: _sign(_value(row, x)))  # P_n / x
+        sign_p = functools.cache(lambda x: _dyadic_sign((0,) + row, x))  # P_n
+        sign_r = functools.cache(lambda x: _dyadic_sign(row, x))  # R_n
         intervals = certify_real_roots(n).isolating_intervals
         assert len(intervals) == n
         for k, (lo, hi) in enumerate(intervals):
@@ -281,6 +285,9 @@ def _replay_certificates(orders):
             assert w.sign_at_lower == sign_r(w.lower)
             assert w.sign_at_upper == sign_r(w.upper)
             assert w.sign_at_lower * w.sign_at_upper == -1
+        for left, right in zip(witnesses, witnesses[1:]):
+            sides = _dyadic_sign(prev, left.upper), _dyadic_sign(prev, right.lower)
+            assert sides in ((1, -1), (-1, 1)), (n, left, right)
 
 
 def test_replay_certificates_through_order_one_hundred():
@@ -291,8 +298,9 @@ def test_signs_left_by_a_failed_walk_are_not_read(monkeypatch):
     """The walk over orders 1..4 with a false R_4 fails after orders 1..3
     held, leaving R_4's signs behind. Walking on from order 3 with the true
     rows must not take them for R_3's: that would steer the bisection of R_3
-    and move the separators, which the replay (it checks R_n's signs) cannot
-    see but the golden digest of the witnesses can."""
+    and move the separators off the roots of R_3: the replay sees R_3 keep
+    its sign between two witnesses of order 4, and the golden digest of the
+    witnesses sees them move."""
     monkeypatch.setattr(sturm_module, "_WITNESSES", {})
     monkeypatch.setattr(sturm_module, "_CARRIED", (IntPolynomial(), {}))
     monkeypatch.setattr(sturm_module, "triangle_row", _fake_row_four)

@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 from fractions import Fraction
 from math import comb, factorial
 
@@ -230,3 +232,144 @@ def test_json_export_and_round_trip():
     expected = json.dumps([list(r) for r in rows], separators=(",", ":")) + "\n"
     assert "".join(triangle_json(30)) == expected
 
+
+# --- the split of a row extension between this process and a helper --------
+
+_RUN_REAL_HELPER = "import runpy; runpy.run_path({helper!r}, run_name='__main__')\n"
+
+
+def _fake_helper(tmp_path, monkeypatch, body: str) -> None:
+    """Point the split at a helper script that runs ``body``."""
+    script = tmp_path / "helper.py"
+    script.write_text(body.format(helper=triangle._HELPER))
+    monkeypatch.setattr(triangle, "_HELPER", str(script))
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every helper process the split starts, through a spy on Popen; the
+    test fails if it has not returned within a minute."""
+    import subprocess
+
+    started = []
+    real = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(real(*args, **kwargs))
+        return started[-1]
+
+    def expire(signum, frame):
+        raise TimeoutError("the split did not return within a minute")
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield started
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_reaped(started) -> None:
+    assert started
+    for helper in started:
+        assert helper.returncode is not None
+        assert helper.stdin.closed and helper.stdout.closed
+        with pytest.raises(ChildProcessError):  # waited for already
+            os.waitpid(helper.pid, os.WNOHANG)
+
+
+def _force_split(monkeypatch, cpus=(0, 1)) -> None:
+    """Split every extension from row 1, on a host with ``cpus``."""
+    monkeypatch.setattr(triangle, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(triangle, "_last_row", (1,))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+@pytest.mark.parametrize(
+    "m0,n",
+    [(1, 2), (2, 3), (1, 9), (4, 9), (8, 9), (1, 40), (25, 40)],
+)
+def test_split_rows_are_the_serial_rows(m0, n, helpers):
+    start = triangle._extend((1,), m0)
+    expected = triangle._extend(start, n)
+    # k below, at and above the starting order, and at both ends
+    for k in sorted({1, m0 // 2 or 1, m0, (m0 + n) // 2, n - 1} - {0, n}):
+        assert triangle._extend_split(start, n, k) == expected, k
+    _assert_reaped(helpers)
+
+
+def test_large_extension_splits_and_matches_the_serial_row(monkeypatch, helpers):
+    _force_split(monkeypatch)
+    expected = triangle._extend((1,), 150)
+    assert triangle_row(150) == expected
+    assert triangle_row(220) == triangle._extend(expected, 220)  # from row 150
+    assert len(helpers) == 2
+    _assert_reaped(helpers)
+
+
+def test_split_runs_only_past_the_crossover_on_two_cpus(monkeypatch, helpers):
+    monkeypatch.setattr(triangle, "_last_row", (1,))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(triangle, "_SPLIT_WORK", 29**3 - 1)
+    triangle_row(29)  # 29^3 - 1 units of work: serial
+    assert helpers == []
+    triangle_row(1)
+    triangle_row(30)  # 30^3 - 1 units: split
+    assert len(helpers) == 1
+    _assert_reaped(helpers)
+
+
+def test_one_cpu_starts_no_helper(monkeypatch, helpers):
+    _force_split(monkeypatch, cpus=(0,))
+    assert triangle_row(60) == triangle._extend((1,), 60)
+    assert helpers == []
+
+
+def test_helper_that_cannot_start_leaves_the_serial_row(monkeypatch):
+    import subprocess
+
+    def refuse(*args, **kwargs):
+        raise OSError("no processes left")
+
+    _force_split(monkeypatch)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    assert triangle._extend_split((1,), 60, 20) is None
+    assert triangle_row(60) == triangle._extend((1,), 60)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # a whole, correct reply, then a nonzero exit
+        _RUN_REAL_HELPER + "raise SystemExit(3)\n",
+        # a nonzero exit before reading anything
+        "raise SystemExit(1)\n",
+        # the reply cut short by one byte
+        "import io, runpy, sys\n"
+        "sink = io.BytesIO()\n"
+        "runpy.run_path({helper!r})['serve'](sys.stdin.buffer, sink)\n"
+        "sys.stdout.buffer.write(sink.getvalue()[:-1])\n",
+        # one byte past the reply
+        _RUN_REAL_HELPER + "import sys; sys.stdout.buffer.write(b'x')\n",
+    ],
+    ids=["nonzero-after-reply", "nonzero-at-once", "truncated", "trailing-byte"],
+)
+def test_failed_helper_leaves_the_serial_row(tmp_path, monkeypatch, helpers, body):
+    _fake_helper(tmp_path, monkeypatch, body)
+    _force_split(monkeypatch)
+    assert triangle._extend_split((1,), 60, 20) is None
+    assert triangle_row(60) == triangle._extend((1,), 60)
+    _assert_reaped(helpers)
+
+
+def test_helper_is_reaped_when_the_caller_fails(tmp_path, monkeypatch, helpers):
+    # a helper that would wait on its input for ever is stopped
+    _fake_helper(tmp_path, monkeypatch, "import sys; sys.stdin.buffer.read()\n")
+
+    def interrupted(stream, value):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(triangle, "write_int", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        triangle._extend_split((1,), 60, 20)
+    _assert_reaped(helpers)
