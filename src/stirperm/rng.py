@@ -6,13 +6,22 @@ output is that state pushed through two xor-shift-multiply rounds. It is
 used instead of the interpreter's ambient generator so that every sampled
 object is bit-reproducible from its integer seed, on any platform, forever.
 
+Output k of a seed depends on nothing but seed + k*GAMMA, so scalar draws are
+mixed ahead of use: a generator keeps a short list of outputs and refills it
+by mixing consecutive states as the 128-bit lanes of one int, with the same
+``_mix`` as the lane kernel below. A refill takes 8 outputs, then twice as
+many as the last one, up to 256, so a fresh generator that draws one order-9
+word mixes only the 8 outputs it uses. ``state`` is the state after the
+draws handed out so far, seed + (draws taken)*GAMMA whatever is buffered, and
+assigning it drops the buffer.
+
 ``below_lanes`` draws the same W bounds for many samples at once, a step at
 a time. Sample s of a chunk of up to ``LANES`` samples takes draws s*W + k,
 k = 0..W-1, so draw k of every sample in the chunk is one Python int: lane s
 (bits 128s..128s+127) holds the state s0 + (s*W + k + 1)*GAMMA, and each
-step adds GAMMA to every lane. The lanes are mixed by the same big-integer
-operations as one draw, and masking each shifted value and each product to
-the lanes' low 64 bits keeps lanes from leaking into each other. Every lane
+step adds GAMMA to every lane. The lanes are mixed by ``_mix``, as the
+refills are, and masking each shifted value and each product to the lanes'
+low 64 bits keeps lanes from leaking into each other. Every lane
 of a step has the same bound b, so all of them are reduced together
 (Barrett, CRYPTO '86): with m = floor(2^64 / b), q = (z*m) >> 64 is z // b or
 one less, r = z - q*b is below min(2b, 2^64), and subtracting b where bit 64
@@ -37,6 +46,30 @@ LANES = 2048  # samples per chunk, one 128-bit lane each
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+
+# refill sizes, measured: 8 is one order-9 word; past 128 outputs a refill
+# costs no less per output (123 ns at 128 and 256, 117 ns at 1024)
+_FIRST_REFILL = 8
+_MAX_REFILL = 256
+_REFILLS: dict[int, tuple] = {}  # refill size -> (ones, mask, state offsets, unpack)
+
+
+def _mix(z: int, mask: int) -> int:
+    """SplitMix64's output function on every lane of ``z`` at once; ``mask``
+    is 2^64 - 1 in each lane, which keeps lanes from leaking into each other."""
+    z = ((z ^ ((z >> 30) & mask)) * _MIX1) & mask
+    z = ((z ^ ((z >> 27) & mask)) * _MIX2) & mask
+    return z ^ ((z >> 31) & mask)
+
+
+def _refill_table(size: int) -> tuple:
+    """Lane s of ``offsets`` is (size - s)*GAMMA: the last output of a refill
+    is mixed in the lowest lane and unpacked first."""
+    ones = _pack([1] * size)
+    offsets = _pack((i * _GAMMA) & MASK64 for i in range(size, 0, -1))
+    _REFILLS[size] = ones, ones * MASK64, offsets, struct.Struct("<" + "Q8x" * size).unpack
+    return _REFILLS[size]
 
 
 def _pack(values) -> int:
@@ -68,29 +101,58 @@ class LaneDraws:
 
 
 class SplitMix64:
-    """Deterministic stream of 64-bit words from a single integer seed."""
+    """Deterministic stream of 64-bit words from a single integer seed.
 
-    __slots__ = ("state",)
+    ``state`` is the state after the draws handed out so far; outputs mixed
+    ahead but not yet drawn do not count, and assigning ``state`` drops
+    them."""
+
+    __slots__ = ("_end", "_buffer", "_size")
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self._buffer: list[int] = []
+        self.state = seed
+
+    @property
+    def state(self) -> int:
+        return (self._end - len(self._buffer) * _GAMMA) & MASK64
+
+    @state.setter
+    def state(self, value: int) -> None:
+        self._end = value & MASK64  # the state after the last buffered output
+        self._buffer.clear()
+        self._size = _FIRST_REFILL
+
+    def _refill(self) -> None:
+        """Mix the next ``_size`` outputs into the buffer, last one first, so
+        that ``pop`` hands them out in order; then double ``_size``."""
+        size = self._size
+        ones, mask, offsets, unpack = _REFILLS.get(size) or _refill_table(size)
+        end = self._end
+        outputs = _mix((end * ones + offsets) & mask, mask)
+        self._buffer += unpack(outputs.to_bytes(16 * size, "little"))
+        self._end = (end + size * _GAMMA) & MASK64
+        self._size = min(2 * size, _MAX_REFILL)
 
     def next_uint64(self) -> int:
-        self.state = (self.state + _GAMMA) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return z ^ (z >> 31)
+        buffer = self._buffer
+        if not buffer:
+            self._refill()
+        return buffer.pop()
 
     def below(self, bound: int) -> int:
         """Uniform draw from range(bound), modulo bias removed by rejection;
         1 <= bound <= 2^64, since one 64-bit draw must cover the range."""
         if not 0 < bound <= 1 << 64:
             raise ValueError(f"bound must be in 1..2^64, got {bound}")
-        limit = ((1 << 64) // bound) * bound
+        buffer = self._buffer
         while True:
-            z = self.next_uint64()
-            if z < limit:
+            if not buffer:
+                self._refill()
+            z = buffer.pop()
+            # the rejection limit 2^64 - (2^64 mod bound) exceeds 2^64 - bound,
+            # so it is computed only for z above that
+            if z + bound <= 1 << 64 or z < ((1 << 64) // bound) * bound:
                 return z % bound
 
     def below_lanes(self, bounds: Sequence[int], samples: int) -> Iterator[LaneDraws]:
@@ -129,9 +191,7 @@ class SplitMix64:
         flags = 0
         for b in bounds:
             state = (state + step) & mask
-            z = ((state ^ ((state >> 30) & mask)) * _MIX1) & mask
-            z = ((z ^ ((z >> 27) & mask)) * _MIX2) & mask
-            z ^= (z >> 31) & mask
+            z = _mix(state, mask)
             flags |= z + over
             z -= (((z * ((1 << 64) // b)) >> 64) & mask) * b
             yield z - (((z + high - ones * b) >> 64) & ones) * b
