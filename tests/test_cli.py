@@ -209,6 +209,7 @@ _PINNED_STDOUT_SHA256 = {
         "ff82685975194e354d4586fcc9ac2744418971a9cb5599011569ad2739a6d230",
     "normality --n 10 --no-exact --samples 500 --seed 7 --format json":
         "e1174fcf27f6b03241ffee1b7fd25a87c8d6b3d59d1ad7f36453232bc23a9d7a",
+    "poly --n 6": "f1ce60d09defcb351a42dfebfd104285b7d9a8faafba94b995e6727be25f11b4",
     "poly --n 6 --wilf --eval 1 --format json":
         "8b86a7fd17199c4347f69ed1c2ab3900e49aea78cf756d10448176c381eef8cc",
     "poly --n 6 --eval=-1/2 --format json":

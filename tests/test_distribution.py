@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from stirperm import verify
 from stirperm.distribution import (
     brute_force_moments,
     indicator_expectations,
@@ -163,8 +164,10 @@ def test_standardized_support_is_increasing_and_centered():
 
 def test_ks_exact_order_two_against_two_atom_oracle():
     # two atoms at (1 - 5/3)/sqrt(2/9) = -sqrt(2) and (2 - 5/3)/sqrt(2/9)
-    # = 1/sqrt(2), with masses 1/3 and 2/3; reference CDF from libm erfc
-    phi = lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0))
+    # = 1/sqrt(2), with masses 1/3 and 2/3; reference CDF from scipy's ndtr,
+    # which shares no code with normal_cdf (libm's erfc)
+    special = pytest.importorskip("scipy.special")
+    phi = lambda t: float(special.ndtr(t))
     t1, t2 = -math.sqrt(2.0), 1.0 / math.sqrt(2.0)
     oracle = max(
         phi(t1), abs(1 / 3 - phi(t1)), abs(1 / 3 - phi(t2)), abs(1 - phi(t2))
@@ -200,6 +203,22 @@ def test_ks_exact_golden_values_and_decrease():
     ordered = sorted(GOLDEN_KS_EXACT)
     for a, b in zip(ordered, ordered[1:]):
         assert GOLDEN_KS_EXACT[a] > GOLDEN_KS_EXACT[b]
+
+
+def test_verify_clt_suite_full_and_quick():
+    full = verify.run_suite("clt")
+    assert len(full) == 2 and all(r.passed for r in full)
+    assert full[0].detail.startswith("D(10)=0.185871 D(20)=0.135014")
+    quick = verify.run_suite("clt", quick=True)
+    assert len(quick) == 1 and quick[0].passed
+
+
+def test_verify_clt_golden_check_names_a_shifted_order(monkeypatch):
+    monkeypatch.setitem(GOLDEN_KS_EXACT, 50, GOLDEN_KS_EXACT[50] + 1e-8)
+    decrease, golden = verify.run_suite("clt")
+    assert decrease.passed
+    assert not golden.passed
+    assert golden.detail == "first failure: n=50"
 
 
 def test_statistic_histogram_matches_word_sampler_distribution():

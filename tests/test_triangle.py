@@ -325,6 +325,19 @@ def test_one_cpu_starts_no_helper(monkeypatch, helpers):
     assert helpers == []
 
 
+@pytest.mark.parametrize("count,started", [(None, 0), (1, 0), (2, 1)])
+def test_cpu_count_decides_without_sched_getaffinity(
+    monkeypatch, helpers, count, started
+):
+    _force_split(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert triangle_row(60) == triangle._extend((1,), 60)
+    assert len(helpers) == started
+    if started:
+        _assert_reaped(helpers)
+
+
 def test_helper_that_cannot_start_leaves_the_serial_row(monkeypatch):
     import subprocess
 
