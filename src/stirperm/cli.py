@@ -40,13 +40,16 @@ from .special import normal_pdf
 
 # Order caps, each measured cold at the cap on a 2-core, 7 GiB host; a
 # request above its cap exits 3 before any work.
-#: ``normality`` (exact distance or plots) and ``mode`` build one row in
-#: about n^3.3 bit operations, holding two rows. With a helper process on
-#: the row's right block, ``normality --n 2000 / 3000`` take 3.0-3.4 /
-#: 11-13 s with 22 / 30.5 MiB peak RSS, the helper 17.6 / 26.7 MiB
-#: (``mode --n 3000``: 10.4-10.9 s, 30.5 and 26.9 MiB). In one process, as
-#: on one CPU, they take 4.7 / 18 s (mode: 16 s) with 26 / 41 MiB, which
-#: keeps the cap.
+#: ``normality`` (exact distance or plots) and ``mode`` read one row. The
+#: distance and the mode come from a fixed-point row where it is cheaper:
+#: ``normality --n 3000`` and ``mode --n 3000`` take 0.75-0.97 s with
+#: 15.5-15.9 MiB peak RSS and no helper. The cap is set by the exact row,
+#: which ``--plot-out`` reads and which an uncertified result falls back to:
+#: it takes about n^3.3 bit operations, holding two rows. With a helper
+#: process on the row's right block, ``normality --n 2000 / 3000 --plot-out``
+#: take 3.0-3.4 / 11-13 s with 22 / 30.5 MiB peak RSS, the helper 17.6 /
+#: 26.7 MiB. In one process, as on one CPU, they take 4.7 / 18 s with 26 /
+#: 41 MiB, which keeps the cap.
 EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
 #: ``poly --n 1400 --wilf --format json`` takes 14 s with 47 MiB peak RSS
 #: (1000: 3.4-3.7 s, 31 MiB), most of it the Gessel-Stanley check's Stirling
@@ -353,6 +356,8 @@ def _cmd_normality(args) -> int:
     if args.samples is not None:
         _refuse_above(args.n, SAMPLING_ORDER_CAP, "Monte-Carlo distance")
     payload = _moments_payload(args.n)
+    # the plot reads the exact row: built first, it is the distance's row too
+    dist = distribution.normalized_distribution(args.n) if args.plot_out else None
     if not args.no_exact:
         payload["ks_exact"] = distribution.ks_distance_exact(args.n)
     if args.samples is not None:
@@ -361,25 +366,25 @@ def _cmd_normality(args) -> int:
         )
         payload["samples"] = args.samples
         payload["seed"] = args.seed
-    if args.plot_out or args.plot_normal_out:
-        dist = distribution.normalized_distribution(args.n)
+    if dist is not None:
         sigma = payload["sigma"]
-        if args.plot_out:
-            lines = ["t,density"]
-            lines.extend(
-                f"{t!r},{c / dist.population * sigma!r}"
-                for t, c in zip(dist.standardized_support, dist.counts)
-            )
-            _write(args.plot_out, "\n".join(lines) + "\n")
-        if args.plot_normal_out:
-            lo = dist.standardized_support[0] - 1.0
-            hi = dist.standardized_support[-1] + 1.0
-            lines = ["t,density"]
-            steps = 200
-            for k in range(steps + 1):
-                t = lo + (hi - lo) * k / steps
-                lines.append(f"{t!r},{normal_pdf(t)!r}")
-            _write(args.plot_normal_out, "\n".join(lines) + "\n")
+        lines = ["t,density"]
+        lines.extend(
+            f"{t!r},{c / dist.population * sigma!r}"
+            for t, c in zip(dist.standardized_support, dist.counts)
+        )
+        _write(args.plot_out, "\n".join(lines) + "\n")
+    if args.plot_normal_out:
+        # the outermost standardized points, values 1 and n
+        mean, variance = payload["mean"], payload["variance"]
+        lo = distribution._standardized_point(1, mean, variance) - 1.0
+        hi = distribution._standardized_point(args.n, mean, variance) + 1.0
+        lines = ["t,density"]
+        steps = 200
+        for k in range(steps + 1):
+            t = lo + (hi - lo) * k / steps
+            lines.append(f"{t!r},{normal_pdf(t)!r}")
+        _write(args.plot_normal_out, "\n".join(lines) + "\n")
     distances = tuple(k for k in ("ks_exact", "ks_empirical") if k in payload)
     _write_record(args, payload, _MOMENT_COLUMNS + distances)
     return 0

@@ -13,6 +13,16 @@ rationals:
 and every identity below is checked in exact rational arithmetic. Floating
 point enters only at the last step of a distribution distance, where exact
 rationals meet the normal CDF.
+
+The exact distance is the float that the exact row gives, whichever row it
+is read from. Where ``triangle.fixed_route`` offers a fixed-point row, each
+exact CDF value F at a jump lies in [Q/2^B, (Q + delta)/2^B] (see the
+triangle module). Int true division rounds correctly, so it is monotone:
+where both ends round to the same float, that float is the one the exact
+row gives, and elsewhere the term |F - Phi| is at most the larger of its
+two end terms, since float subtraction is monotone too. The distance is
+certified when no such bound passes the largest term known exactly, which
+is then the distance; otherwise it is computed from the exact row.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from .permutations import (
 from .polynomial import double_factorial
 from .rng import SplitMix64
 from .special import normal_cdf
-from .triangle import triangle_row
+from .triangle import fixed_route, triangle_row
 
 
 class Moments(NamedTuple):
@@ -199,40 +209,61 @@ def _standardized_point(value: int, mean: Fraction, variance: Fraction) -> float
     return magnitude if offset > 0 else (-magnitude if offset < 0 else 0.0)
 
 
+def _standardized_support(m: Moments) -> tuple[float, ...]:
+    return tuple(
+        _standardized_point(k, m.mean, m.variance) for k in range(1, m.order + 1)
+    )
+
+
 def normalized_distribution(n: int) -> NormalizedDistribution:
     if n < 2:
         raise ValueError(
             f"order must be >= 2 to standardize (variance is 0 at 1), got {n}"
         )
     m = moments_exact(n)
-    support = tuple(
-        _standardized_point(k, m.mean, m.variance) for k in range(1, n + 1)
-    )
     return NormalizedDistribution(
-        n, triangle_row(n), double_factorial(n), m.mean, m.variance, support
+        n, triangle_row(n), double_factorial(n), m.mean, m.variance,
+        _standardized_support(m),
     )
 
 
-def _sup_distance(counts, total: int, support) -> float:
+def _sup_distance(counts, total: int, support, slack: int = 0) -> float | None:
     """Sup distance between the step CDF with mass count/total at each
     standardized point and the standard normal CDF, evaluated from both
     sides of every jump. Int true division of the integer prefix sums rounds
-    each exact CDF value correctly, as float(Fraction) would."""
-    worst = 0.0
+    each exact CDF value correctly, as float(Fraction) would.
+
+    With a ``slack``, each exact prefix sum is only known to lie in
+    [Q, Q + slack] for the prefix sum Q of ``counts``, and every point is
+    evaluated, zero counts included. The result is certified as described
+    in the module docstring, and None when it cannot be."""
+    worst = doubt = 0.0  # the largest term known exactly, and bound on the rest
     seen = 0
+    before = (0.0, 0.0)  # the CDF below the next jump, at both ends
     for count, t in zip(counts, support):
-        if count:
+        if count or slack:
             phi = normal_cdf(t)
-            below = abs(seen / total - phi)
             seen += count
-            above = abs(seen / total - phi)
-            worst = max(worst, below, above)
-    return worst
+            after = (seen / total, (seen + slack) / total)
+            for low, high in (before, after):
+                if low == high:
+                    worst = max(worst, abs(low - phi))
+                else:
+                    doubt = max(doubt, abs(low - phi), abs(high - phi))
+            before = after
+    return worst if doubt <= worst else None
 
 
 def ks_distance_exact(n: int) -> float:
     """Sup distance between the standardized exact distribution's step CDF
-    and the standard normal CDF."""
+    and the standard normal CDF: from ``triangle.fixed_route(n)`` where it
+    is certified there, else from the exact row."""
+    fixed = fixed_route(n) if n >= 2 else None
+    if fixed is not None:
+        support = _standardized_support(moments_exact(n))
+        distance = _sup_distance(fixed.entries, 1 << fixed.bits, support, fixed.slack)
+        if distance is not None:
+            return distance
     dist = normalized_distribution(n)
     return _sup_distance(dist.counts, dist.population, dist.standardized_support)
 

@@ -21,6 +21,23 @@ Whether to split depends only on the two orders and the CPU count (see
 short or malformed, the row is computed here from the same starting row,
 and the helper has always been reaped before ``triangle_row`` returns.
 
+The exact distance to the normal law and the mode of row n need the row
+only up to a known error, so where extending the exact rows to n would cost
+more than ``_FIXED_WORK`` n^2 units, they are read from a fixed-point row.
+``fixed_row`` scales the normalized row p_n(i) = T(n, i)/(2n - 1)!! by 2^B,
+B = 64 + 2 bitlen(n), and runs the exact recurrence divided by the ratio of
+the row sums, with each division floored:
+    q_m(i) = floor((i q_(m-1)(i) + (2m - i) q_(m-1)(i-1)) / (2m - 1)).
+The weights are non-negative, so by induction each q_i is low by an error
+e_i >= 0, and the errors sum to delta = 2^B - sum q_i, which is exact at the
+end. So each entry and each prefix sum of 2^B p_n lies in [Q, Q + delta],
+where Q is the matching entry or prefix sum of q. The argmax is certified
+when the top q_i beats every other entry by more than delta;
+``distribution.ks_distance_exact`` certifies its float from the same
+enclosure. Whatever is not certified is computed from the exact row, so no
+result depends on the route. Ascending sweeps in steps of up to about 100
+orders extend ``_last_row`` on the exact route.
+
 The verify suite checks the rows against the derivative recurrence on the
 polynomials, P_n = (x - x^2) P_(n-1)' + (2n - 1) x P_(n-1), and this module
 checks them against Gessel and Stanley's definition of P_n through Stirling
@@ -52,6 +69,38 @@ _last_row: tuple[int, ...] = (1,)
 #: 800 -> 1200 (1.2e9) 0.65-1.1 / 0.47-0.57 s free, 0.70-0.98 s without.
 _SPLIT_WORK = 3 * 10**8
 _HELPER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "rowstep.py")
+#: The distance and the mode of row n are read from its fixed-point row when
+#: the exact rows would take more than this many times n^2 units to extend.
+#: That row costs about as much as 160-240 n^2 units, since it has about
+#: n^2/2 entries of fixed size, so a threshold on the units alone would send
+#: short extensions at large n to the dearer route. Distance plus mode,
+#: exact / fixed, medians on the host of ``_SPLIT_WORK``: row 300 from 250
+#: (126 n^2 units) 11 / 15 ms, from 150 (262 n^2) 22 / 15 ms, from 1 (300 n^2)
+#: 29 / 15 ms; row 1200 from 1150 (144 n^2) 98 / 145 ms, from 1100 (276 n^2)
+#: 166 / 145 ms, from 600 (1050 n^2) 0.92 / 0.145 s; row 2400 from 2350
+#: (147 n^2) 0.37 / 0.43 s, from 2300 (288 n^2) 0.69 / 0.43 s. At 300 n^2 the
+#: fixed route is about 1.5 times cheaper; nearer the tie the exact route
+#: keeps ``_last_row`` moving for ascending sweeps.
+_FIXED_WORK = 300
+#: Bits of a fixed-point row beyond 2 bitlen(n). Step m adds less than m to
+#: delta, so delta < n(n + 1)/2 < 2^(2 bitlen(n) - 1), and every enclosure
+#: is narrower than 2^-65.
+_FIXED_GUARD_BITS = 64
+
+
+class FixedRow(NamedTuple):
+    """Row ``order`` of the normalized triangle p in fixed point: 2^bits p(i)
+    and each prefix sum of 2^bits p exceed their counterparts in ``entries``
+    by at least 0 and at most ``slack``, 2^bits minus the sum of the
+    entries."""
+
+    order: int
+    bits: int
+    entries: tuple[int, ...]
+    slack: int
+
+
+_last_fixed: FixedRow | None = None
 
 
 def triangle_row(n: int) -> tuple[int, ...]:
@@ -131,6 +180,33 @@ def _extend_split(row: tuple[int, ...], n: int, k: int) -> tuple[int, ...] | Non
             except OSError:  # bytes the helper never read
                 pass
     return left + right
+
+
+def fixed_row(n: int) -> FixedRow:
+    """Row n of the normalized triangle in fixed point, with
+    B = ``_FIXED_GUARD_BITS`` + 2 bitlen(n) bits; the last row returned is
+    remembered."""
+    global _last_fixed
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    bits = _FIXED_GUARD_BITS + 2 * n.bit_length()
+    if _last_fixed is None or _last_fixed[:2] != (n, bits):
+        row = [1 << bits]
+        for m in range(2, n + 1):
+            d = 2 * m - 1
+            row = [  # j = 2m - i
+                (i * a + j * b) // d
+                for i, j, a, b in zip(range(1, m + 1), range(d, m - 1, -1), row + [0], [0] + row)
+            ]
+        _last_fixed = FixedRow(n, bits, tuple(row), (1 << bits) - sum(row))
+    return _last_fixed
+
+
+def fixed_route(n: int) -> FixedRow | None:
+    """``fixed_row(n)`` when extending the exact rows to n would cost more
+    than ``_FIXED_WORK`` n^2 units, else None."""
+    start = len(_last_row) if len(_last_row) <= n else 1
+    return fixed_row(n) if n**3 - start**3 > _FIXED_WORK * n**2 else None
 
 
 def triangle_rows(n_max: int) -> list[tuple[int, ...]]:
@@ -217,11 +293,15 @@ def locate_mode(n: int) -> ModeReport:
     The mean statistic value is (2n + 1)/3; real-rootedness forces every
     peak within distance 1 of it, so the predicted set is {(2n+1)/3} when
     that is an integer and {floor, ceil} otherwise. Ties are reported as a
-    set, never broken.
+    set, never broken. The argmax is read from ``fixed_route(n)`` where it
+    is certified there, and from the exact row otherwise.
     """
-    row = triangle_row(n)
-    top = max(row)
-    argmax = tuple(i for i, v in enumerate(row, start=1) if v == top)
+    fixed = fixed_route(n)
+    argmax = None if fixed is None else _certified_argmax(fixed)
+    if argmax is None:
+        row = triangle_row(n)
+        top = max(row)
+        argmax = tuple(i for i, v in enumerate(row, start=1) if v == top)
     mean = Fraction(2 * n + 1, 3)
     if mean.denominator == 1:
         predicted = (int(mean),)
@@ -229,6 +309,18 @@ def locate_mode(n: int) -> ModeReport:
         floor = int(mean)
         predicted = (floor, floor + 1)
     return ModeReport(n, mean, argmax, predicted)
+
+
+def _certified_argmax(row: FixedRow) -> tuple[int, ...] | None:
+    """The exact row's argmax, when the top entry of ``row`` beats every
+    other by more than the slack: each exact entry exceeds its fixed-point
+    entry by at most the slack. None otherwise."""
+    entries = row.entries
+    top = max(entries)
+    runner_up = max((v for v in entries if v != top), default=-1)
+    if entries.count(top) == 1 and top - runner_up > row.slack:
+        return (entries.index(top) + 1,)
+    return None
 
 
 # --- export formats ---------------------------------------------------------

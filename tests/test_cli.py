@@ -198,6 +198,7 @@ _PINNED_STDOUT_SHA256 = {
     "mode --n 11": "652ec2e999793c6a5ddb2728c7c5a7b0e46948c351c351b23f7180a284c39a69",
     "mode --n 11 --format json":
         "da8ad7a0bfcaab396ba90b3ccc034baba799b02b5615c0934329ae1bfc150d38",
+    "mode --n 800": "fab37d6275d3225494107956076106e30c9cd92481e26dc8755d9cb90eefcb93",
     "normality --n 10": "72897cb0bd0c0ffb8aac5da128ece45af47fef9f50362ab2c999ba876d28c792",
     "normality --n 10 --format json":
         "b49c1692c1f52ea34b9b4150ad752d47ac2e5c26e86c22b8ce7330068337f0fc",
@@ -209,6 +210,8 @@ _PINNED_STDOUT_SHA256 = {
         "ff82685975194e354d4586fcc9ac2744418971a9cb5599011569ad2739a6d230",
     "normality --n 10 --no-exact --samples 500 --seed 7 --format json":
         "e1174fcf27f6b03241ffee1b7fd25a87c8d6b3d59d1ad7f36453232bc23a9d7a",
+    "normality --n 800 --format json":
+        "f47fa1c5f3e2a1795aad12d29dac443ac6fd0d9aec511283709c60d6de95dce6",
     "poly --n 6": "f1ce60d09defcb351a42dfebfd104285b7d9a8faafba94b995e6727be25f11b4",
     "poly --n 6 --wilf --eval 1 --format json":
         "8b86a7fd17199c4347f69ed1c2ab3900e49aea78cf756d10448176c381eef8cc",
@@ -287,6 +290,44 @@ def test_normality_plot_files(tmp_path, capsys):
     assert pmf_lines[0] == "t,density"
     assert len(pmf_lines) == 13
     assert normal_path.read_text().startswith("t,density\n")
+
+
+def _sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_normality_plot_reads_one_exact_row(tmp_path, capsys, monkeypatch):
+    # the plot's exact row serves the distance too, so no fixed-point row
+    # is built; the digests are those of the output before that route existed
+    from stirperm import triangle
+
+    def refuse(n):
+        raise AssertionError("fixed-point row built beside the plot's exact row")
+
+    monkeypatch.setattr(triangle, "fixed_row", refuse)
+    plot = tmp_path / "pmf.csv"
+    code, out, err = run(capsys, "normality", "--n", "400", "--plot-out", str(plot))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c285c14d7024d0b4a25cb502846f8099ed9ba7a701e8d7367c9fb61d9916ab15"
+    )
+    assert _sha256_of(plot) == "d8e67bddb11263ff960fd3752d5f6a603b66a147553162c1db3d15775f4e831e"
+
+
+def test_normal_density_plot_builds_no_row(tmp_path, capsys, monkeypatch):
+    # its range comes from the outermost standardized points alone; digest
+    # of the file as it was when the whole exact row was built for it
+    from stirperm import cli
+
+    monkeypatch.setattr(cli.triangle, "triangle_row", _refuse_all_work)
+    monkeypatch.setattr(cli.distribution, "triangle_row", _refuse_all_work)
+    plot = tmp_path / "normal.csv"
+    code, _, err = run(
+        capsys, "normality", "--n", "3000", "--no-exact", "--samples", "1", "--seed", "1",
+        "--plot-normal-out", str(plot),
+    )
+    assert (code, err) == (0, "")
+    assert _sha256_of(plot) == "1d60c705076a49b51859b0cb2dded82be47c137393a0ff7d6f6a9a82294f0fc9"
 
 
 def test_sample_streams_words_and_stats_deterministically(capsys):
@@ -451,8 +492,8 @@ def _refuse_all_work(*args, **kwargs):
         ("POLY_ORDER_CAP", ["poly", "--n"], ["descent_polynomial"]),
         ("TRIANGLE_ORDER_CAP", ["triangle", "--n-max"],
          ["triangle_row", "triangle_csv", "triangle_json"]),
-        ("MODE_ORDER_CAP", ["mode", "--n"], ["locate_mode", "triangle_row"]),
-        ("EXACT_DISTANCE_ORDER_CAP", ["normality", "--n"], ["triangle_row"]),
+        ("MODE_ORDER_CAP", ["mode", "--n"], ["locate_mode", "triangle_row", "fixed_row"]),
+        ("EXACT_DISTANCE_ORDER_CAP", ["normality", "--n"], ["triangle_row", "fixed_row"]),
         # a plot needs the exact row even when the distance is Monte-Carlo
         ("EXACT_DISTANCE_ORDER_CAP",
          ["normality", "--no-exact", "--samples", "10", "--seed", "1",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from stirperm import verify
+from stirperm import distribution, triangle, verify
 from stirperm.distribution import (
     brute_force_moments,
     indicator_expectations,
@@ -23,6 +23,7 @@ from stirperm.distribution import (
 from stirperm.permutations import enumerate_words, sample_word, word_statistics
 from stirperm.rng import SplitMix64
 from stirperm.special import normal_cdf
+from stirperm.triangle import ModeReport, locate_mode
 from stirperm.verify import GOLDEN_KS_EXACT
 
 
@@ -195,6 +196,56 @@ def test_ks_exact_bit_identical_to_fraction_reference(n):
     # int true division and float(Fraction) both round the exact quotient
     # correctly, so the integer prefix sums lose nothing
     assert ks_distance_exact(n).hex() == _ks_fraction_reference(n).hex()
+
+
+#: ks_distance_exact(n).hex() and the argmax, frozen from the exact rows
+#: (the floats are bench/golden.json's too)
+_EXACT_ROUTE = {
+    500: ("0x1.bff269c80d850p-6", (334,)),
+    600: ("0x1.985cb9a98e9e0p-6", (400,)),
+    800: ("0x1.6235fc9f35a90p-6", (534,)),
+    1200: ("0x1.2109602b60500p-6", (800,)),
+}
+
+
+def _refuse_exact_row(n):
+    raise AssertionError(f"order {n} fell back to the exact row")
+
+
+def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
+    monkeypatch.setattr(triangle, "_FIXED_WORK", 10**30)
+    expected = {
+        n: (_ks_fraction_reference(n).hex(), locate_mode(n)) for n in range(2, 401)
+    }
+    for n, (ks_hex, argmax) in _EXACT_ROUTE.items():
+        mean = Fraction(2 * n + 1, 3)
+        predicted = (int(mean),) if mean.denominator == 1 else (int(mean), int(mean) + 1)
+        expected[n] = ks_hex, ModeReport(n, mean, argmax, predicted)
+    # every order takes the fixed-point route, and a fallback fails
+    monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
+    monkeypatch.setattr(triangle, "triangle_row", _refuse_exact_row)
+    monkeypatch.setattr(distribution, "triangle_row", _refuse_exact_row)
+    for n, (ks_hex, mode) in expected.items():
+        assert (ks_distance_exact(n).hex(), locate_mode(n)) == (ks_hex, mode), n
+
+
+def test_uncertified_fixed_row_falls_back_to_the_exact_row(monkeypatch):
+    # with B = 2 bitlen(n) the slack swamps both the CDF and the peak
+    n = 300
+    monkeypatch.setattr(triangle, "_FIXED_WORK", 10**30)
+    expected = (ks_distance_exact(n).hex(), locate_mode(n))
+    monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
+    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 0)
+    rows = []
+    monkeypatch.setattr(
+        distribution, "triangle_row", lambda n: rows.append(n) or triangle.triangle_row(n)
+    )
+    fixed = triangle.fixed_row(n)
+    support = distribution._standardized_support(moments_exact(n))
+    assert distribution._sup_distance(fixed.entries, 1 << fixed.bits, support, fixed.slack) is None
+    assert triangle._certified_argmax(fixed) is None
+    assert (ks_distance_exact(n).hex(), locate_mode(n)) == expected
+    assert rows == [n]
 
 
 def test_ks_exact_golden_values_and_decrease():

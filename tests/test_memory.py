@@ -56,6 +56,20 @@ def test_exact_distance_and_mode_at_order_1200_stay_small():
     assert peak + helper < 128
 
 
+def test_exact_distance_and_mode_at_the_cap_start_no_helper():
+    # both read one fixed-point row of order 3000: 1.2 s and a 15.2 MiB
+    # peak, cold. The exact row, which alone would start a helper, took
+    # 11-13 s, 30.5 MiB and a helper of 26.7 MiB
+    peak, helper = _peaks_mib(
+        "from stirperm import triangle\n"
+        "from stirperm.distribution import ks_distance_exact\n"
+        "ks_distance_exact(3000)\n"
+        "triangle.locate_mode(3000)\n"
+        "assert triangle._last_row == (1,), 'an exact row was built'\n"
+    )
+    assert peak + helper < 24
+
+
 def test_polynomial_and_series_check_at_order_600_stay_small():
     # a memo of P_1..P_600 plus the cleared Wilf form peaked at 98 MiB
     peak = _peak_mib(

@@ -213,6 +213,35 @@ def test_mode_two_case_pattern_medium_range():
             assert report.argmax_indices == (int(report.mean),)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
+def test_fixed_row_encloses_the_normalized_exact_row(n):
+    # 2^B p and its prefix sums exceed the fixed-point entries and theirs by
+    # at least 0 and at most the slack; the slack gains less than m at step m
+    fixed = triangle.fixed_row(n)
+    assert fixed.order == n and fixed.bits == 64 + 2 * n.bit_length()
+    assert fixed.slack == (1 << fixed.bits) - sum(fixed.entries)
+    assert 0 <= fixed.slack < n * (n + 1) // 2
+    population, scale = double_factorial(n), 1 << fixed.bits
+    exact = low = 0
+    for count, entry in zip(triangle_row(n), fixed.entries):
+        assert entry * population <= count * scale <= (entry + fixed.slack) * population
+        exact += count
+        low += entry
+        assert low * population <= exact * scale <= (low + fixed.slack) * population
+    assert triangle.fixed_row(n) is fixed  # one row remembered
+
+
+def test_fixed_route_only_past_the_crossover(monkeypatch):
+    monkeypatch.setattr(triangle, "_last_row", (1,))
+    monkeypatch.setattr(triangle, "_FIXED_WORK", 29)
+    assert triangle.fixed_route(29) is None  # 29^3 - 1 = 29 * 29^2 - 1 units
+    assert triangle.fixed_route(30).order == 30  # 30^3 - 1 > 29 * 30^2
+    triangle_row(20)
+    assert triangle.fixed_route(30) is None  # 30^3 - 20^3 from row 20
+    triangle_row(40)
+    assert triangle.fixed_route(30).order == 30  # row 40 is past 30: from row 1
+
+
 def test_csv_export_and_round_trip():
     text = "".join(triangle_csv(2))
     assert text == "n,i,count\n1,1,1\n2,1,1\n2,2,2\n"
