@@ -258,7 +258,7 @@ def ks_distance_exact(n: int) -> float:
     """Sup distance between the standardized exact distribution's step CDF
     and the standard normal CDF: from ``triangle.fixed_route(n)`` where it
     is certified there, else from the exact row."""
-    fixed = fixed_route(n) if n >= 2 else None
+    fixed = fixed_route(n)
     if fixed is not None:
         support = _standardized_support(moments_exact(n))
         distance = _sup_distance(fixed.entries, 1 << fixed.bits, support, fixed.slack)

@@ -189,8 +189,8 @@ def fixed_row(n: int) -> FixedRow:
     global _last_fixed
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    bits = _FIXED_GUARD_BITS + 2 * n.bit_length()
-    if _last_fixed is None or _last_fixed[:2] != (n, bits):
+    if _last_fixed is None or _last_fixed.order != n:
+        bits = _FIXED_GUARD_BITS + 2 * n.bit_length()
         row = [1 << bits]
         for m in range(2, n + 1):
             d = 2 * m - 1

@@ -212,6 +212,10 @@ def _refuse_exact_row(n):
     raise AssertionError(f"order {n} fell back to the exact row")
 
 
+def _refuse_fixed_row(n):
+    raise AssertionError(f"order {n} took the fixed route")
+
+
 def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
     monkeypatch.setattr(triangle, "_FIXED_WORK", 10**30)
     expected = {
@@ -229,6 +233,16 @@ def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
         assert (ks_distance_exact(n).hex(), locate_mode(n)) == (ks_hex, mode), n
 
 
+def test_exact_route_gives_the_frozen_values(monkeypatch):
+    # the rows behind --plot-out and every fallback, at the orders that now
+    # take the fixed route by default
+    monkeypatch.setattr(triangle, "_FIXED_WORK", 10**30)
+    monkeypatch.setattr(triangle, "fixed_row", _refuse_fixed_row)
+    for n, (ks_hex, argmax) in _EXACT_ROUTE.items():
+        assert ks_distance_exact(n).hex() == ks_hex, n
+        assert locate_mode(n).argmax_indices == argmax, n
+
+
 def test_uncertified_fixed_row_falls_back_to_the_exact_row(monkeypatch):
     # with B = 2 bitlen(n) the slack swamps both the CDF and the peak
     n = 300
@@ -236,6 +250,7 @@ def test_uncertified_fixed_row_falls_back_to_the_exact_row(monkeypatch):
     expected = (ks_distance_exact(n).hex(), locate_mode(n))
     monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
     monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 0)
+    monkeypatch.setattr(triangle, "_last_fixed", None)  # a row of the full width
     rows = []
     monkeypatch.setattr(
         distribution, "triangle_row", lambda n: rows.append(n) or triangle.triangle_row(n)

@@ -46,12 +46,16 @@ def _peak_mib(work: str) -> float:
 
 def test_exact_distance_and_mode_at_order_1200_stay_small():
     # holding every row up to 1200 took 674 MiB; two rows take a few MiB,
-    # here and in the helper that extends the right block of a large row
+    # here and in the helper that extends the right block of a large row.
+    # The exact row is built first, as --plot-out does, so both calls read
+    # it rather than a fixed-point row
     peak, helper = _peaks_mib(
-        "from stirperm.distribution import ks_distance_exact\n"
-        "from stirperm.triangle import locate_mode\n"
+        "from stirperm import triangle\n"
+        "from stirperm.distribution import ks_distance_exact, normalized_distribution\n"
+        "normalized_distribution(1200)\n"
         "ks_distance_exact(1200)\n"
-        "locate_mode(1200)\n"
+        "triangle.locate_mode(1200)\n"
+        "assert triangle._last_fixed is None, 'a fixed-point row was built'\n"
     )
     assert peak + helper < 128
 
