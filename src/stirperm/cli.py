@@ -41,15 +41,15 @@ from .special import normal_pdf
 # Order caps, each measured cold at the cap on a 2-core, 7 GiB host; a
 # request above its cap exits 3 before any work.
 #: ``normality`` (exact distance or plots) and ``mode`` read one row. The
-#: distance and the mode come from a fixed-point row where it is cheaper:
-#: ``normality --n 3000`` and ``mode --n 3000`` take 0.75-0.97 s with
-#: 15.5-15.9 MiB peak RSS and no helper. The cap is set by the exact row,
-#: which ``--plot-out`` reads and which an uncertified result falls back to:
-#: it takes about n^3.3 bit operations, holding two rows. With a helper
-#: process on the row's right block, ``normality --n 2000 / 3000 --plot-out``
-#: take 3.0-3.4 / 11-13 s with 22 / 30.5 MiB peak RSS, the helper 17.6 /
-#: 26.7 MiB. In one process, as on one CPU, they take 4.7 / 18 s with 26 /
-#: 41 MiB, which keeps the cap.
+#: distance and the mode come from a banded fixed-point row where it is
+#: cheaper: ``normality --n 3000`` and ``mode --n 3000`` take 0.21-0.31 s
+#: with 15.6-15.7 MiB peak RSS and no helper (0.51-0.87 s at full width).
+#: The cap is set by the exact row, which ``--plot-out`` reads and which an
+#: uncertified result falls back to: it takes about n^3.3 bit operations,
+#: holding two rows. With a helper process on the row's right block,
+#: ``normality --n 2000 / 3000 --plot-out`` take 3.0-3.4 / 11-13 s with
+#: 22 / 30.5 MiB peak RSS, the helper 17.6 / 26.7 MiB. In one process, as
+#: on one CPU, they take 4.7 / 18 s with 26 / 41 MiB, which keeps the cap.
 EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
 #: ``poly --n 1400 --wilf --format json`` takes 14 s with 47 MiB peak RSS
 #: (1000: 3.4-3.7 s, 31 MiB), most of it the Gessel-Stanley check's Stirling
@@ -376,9 +376,8 @@ def _cmd_normality(args) -> int:
         _write(args.plot_out, "\n".join(lines) + "\n")
     if args.plot_normal_out:
         # the outermost standardized points, values 1 and n
-        mean, variance = payload["mean"], payload["variance"]
-        lo = distribution._standardized_point(1, mean, variance) - 1.0
-        hi = distribution._standardized_point(args.n, mean, variance) + 1.0
+        lo = distribution._standardized_point(1, args.n) - 1.0
+        hi = distribution._standardized_point(args.n, args.n) + 1.0
         lines = ["t,density"]
         steps = 200
         for k in range(steps + 1):

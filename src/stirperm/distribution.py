@@ -12,7 +12,13 @@ rationals:
 
 and every identity below is checked in exact rational arithmetic. Floating
 point enters only at the last step of a distribution distance, where exact
-rationals meet the normal CDF.
+rationals meet the normal CDF. The standardized support point of value k
+is (k - mean)/sigma, whose square is the exact rational
+
+    (3k - 2n - 1)^2 (2n - 1) / (2(n^2 - 1)),
+
+so each point is one correctly rounded int true division, one sqrt and a
+sign, with no gcd: the same float that float(Fraction) of the square gives.
 
 The exact distance is the float that the exact row gives, whichever row it
 is read from. Where ``triangle.fixed_route`` offers a fixed-point row, each
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import sqrt
+from math import copysign, sqrt
 from typing import NamedTuple
 
 from .permutations import (
@@ -201,18 +207,15 @@ class NormalizedDistribution(NamedTuple):
         return tuple(Fraction(c, self.population) for c in self.counts)
 
 
-def _standardized_point(value: int, mean: Fraction, variance: Fraction) -> float:
-    # (value - mean)/sqrt(variance) with one exact rational square, so the
-    # only roundings are the final float conversion and one sqrt
-    offset = value - mean
-    magnitude = sqrt(float(offset * offset / variance))
-    return magnitude if offset > 0 else (-magnitude if offset < 0 else 0.0)
+def _standardized_point(k: int, n: int) -> float:
+    # (k - mean)/sigma at order n >= 2, from the exact square in the module
+    # docstring: the only roundings are one int true division and one sqrt
+    offset = 3 * k - 2 * n - 1
+    return copysign(sqrt(offset * offset * (2 * n - 1) / (2 * (n * n - 1))), offset)
 
 
 def _standardized_support(m: Moments) -> tuple[float, ...]:
-    return tuple(
-        _standardized_point(k, m.mean, m.variance) for k in range(1, m.order + 1)
-    )
+    return tuple(_standardized_point(k, m.order) for k in range(1, m.order + 1))
 
 
 def normalized_distribution(n: int) -> NormalizedDistribution:
@@ -307,10 +310,8 @@ def ks_distance_empirical(n: int, samples: int, seed: int) -> float:
     if n < 2:
         raise ValueError(f"order must be >= 2 to standardize, got {n}")
     histogram = sample_statistic_histogram(n, samples, seed)
-    m = moments_exact(n)
     # the sup distance reads a point only where its count is nonzero
     support = (
-        _standardized_point(k, m.mean, m.variance) if histogram[k] else 0.0
-        for k in range(1, n + 1)
+        _standardized_point(k, n) if histogram[k] else 0.0 for k in range(1, n + 1)
     )
     return _sup_distance(histogram[1:], samples, support)

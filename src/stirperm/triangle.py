@@ -35,8 +35,15 @@ where Q is the matching entry or prefix sum of q. The argmax is certified
 when the top q_i beats every other entry by more than delta;
 ``distribution.ks_distance_exact`` certifies its float from the same
 enclosure. Whatever is not certified is computed from the exact row, so no
-result depends on the route. Ascending sweeps in steps of up to about 100
+result depends on the route. Ascending sweeps in steps of up to about 40
 orders extend ``_last_row`` on the exact route.
+
+An entry whose two parents are 0 floors to 0, so a zeroed tail stays zero:
+``fixed_row`` runs the step on the nonzero band alone, one entry wider on
+the right, trims zeros at both ends and pads the band to the full-width row,
+bit for bit. The band is about 21 sigma wide (239 of 1200 entries, 379 of
+3000), so the row costs about n^1.5, not n^2: 65 ms at order 1200 and 0.20 s
+at 3000, against 0.15 and 0.87 s at full width (2-core host).
 
 The verify suite checks the rows against the derivative recurrence on the
 polynomials, P_n = (x - x^2) P_(n-1)' + (2n - 1) x P_(n-1), and this module
@@ -71,17 +78,18 @@ _SPLIT_WORK = 3 * 10**8
 _HELPER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "rowstep.py")
 #: The distance and the mode of row n are read from its fixed-point row when
 #: the exact rows would take more than this many times n^2 units to extend.
-#: That row costs about as much as 160-240 n^2 units, since it has about
-#: n^2/2 entries of fixed size, so a threshold on the units alone would send
-#: short extensions at large n to the dearer route. Distance plus mode,
-#: exact / fixed, medians on the host of ``_SPLIT_WORK``: row 300 from 250
-#: (126 n^2 units) 11 / 15 ms, from 150 (262 n^2) 22 / 15 ms, from 1 (300 n^2)
-#: 29 / 15 ms; row 1200 from 1150 (144 n^2) 98 / 145 ms, from 1100 (276 n^2)
-#: 166 / 145 ms, from 600 (1050 n^2) 0.92 / 0.145 s; row 2400 from 2350
-#: (147 n^2) 0.37 / 0.43 s, from 2300 (288 n^2) 0.69 / 0.43 s. At 300 n^2 the
-#: fixed route is about 1.5 times cheaper; nearer the tie the exact route
-#: keeps ``_last_row`` moving for ascending sweeps.
-_FIXED_WORK = 300
+#: The banded row costs about n^1.5, so a threshold on the units alone would
+#: send short extensions at large n to the dearer route. Distance plus mode,
+#: exact / fixed, medians of 7 in process on the host of ``_SPLIT_WORK``:
+#: row 100 from 90 (27 n^2 units) 0.4 / 0.9 ms, from 1 (100 n^2) 2.0 / 1.5 ms;
+#: row 200 from 180 (54 n^2) 1.6 / 2.6 ms, from 100 (175 n^2) 6.9 / 4.0 ms;
+#: row 600 from 570 (86 n^2) 14 / 14 ms; row 1200 from 1180 (59 n^2) 40 /
+#: 41 ms, from 1150 (144 n^2) 105 / 51 ms, from 1100 (276 n^2) 179 / 65 ms.
+#: The routes tie at 60-90 n^2. The threshold sits just above that, so that
+#: a cold request up to order 120 still reads the exact row, which the
+#: bench's clt_exact workload traces at order 100; one-step ascending
+#: sweeps (3 n^2) stay exact by a wide margin.
+_FIXED_WORK = 120
 #: Bits of a fixed-point row beyond 2 bitlen(n). Step m adds less than m to
 #: delta, so delta < n(n + 1)/2 < 2^(2 bitlen(n) - 1), and every enclosure
 #: is narrower than 2^-65.
@@ -184,21 +192,30 @@ def _extend_split(row: tuple[int, ...], n: int, k: int) -> tuple[int, ...] | Non
 
 def fixed_row(n: int) -> FixedRow:
     """Row n of the normalized triangle in fixed point, with
-    B = ``_FIXED_GUARD_BITS`` + 2 bitlen(n) bits; the last row returned is
-    remembered."""
+    B = ``_FIXED_GUARD_BITS`` + 2 bitlen(n) bits, built on its nonzero band
+    (see the module docstring); the last row returned is remembered."""
     global _last_fixed
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if _last_fixed is None or _last_fixed.order != n:
         bits = _FIXED_GUARD_BITS + 2 * n.bit_length()
-        row = [1 << bits]
+        lo, row = 1, [1 << bits]  # the nonzero band: entries lo .. lo + len(row) - 1
         for m in range(2, n + 1):
-            d = 2 * m - 1
+            d, top = 2 * m - 1, 2 * m - lo
             row = [  # j = 2m - i
                 (i * a + j * b) // d
-                for i, j, a, b in zip(range(1, m + 1), range(d, m - 1, -1), row + [0], [0] + row)
+                for i, j, a, b in zip(
+                    range(lo, lo + len(row) + 1), range(top, top - len(row) - 1, -1),
+                    row + [0], [0] + row,
+                )
             ]
-        _last_fixed = FixedRow(n, bits, tuple(row), (1 << bits) - sum(row))
+            while not row[-1]:
+                row.pop()
+            while not row[0]:
+                del row[0]
+                lo += 1
+        entries = (0,) * (lo - 1) + tuple(row) + (0,) * (n + 1 - lo - len(row))
+        _last_fixed = FixedRow(n, bits, entries, (1 << bits) - sum(row))
     return _last_fixed
 
 

@@ -163,6 +163,23 @@ def test_standardized_support_is_increasing_and_centered():
     assert mean == d.mean
 
 
+def _fraction_point(k, mean, variance):
+    # (k - mean)/sigma from one exact rational square, float(Fraction)
+    # rounding it once before the sqrt
+    offset = k - mean
+    magnitude = math.sqrt(float(offset * offset / variance))
+    return magnitude if offset > 0 else (-magnitude if offset < 0 else 0.0)
+
+
+def test_integer_support_points_equal_the_fraction_ones():
+    # both round the same exact square correctly, so the floats are equal
+    for n in [*range(2, 1201), 3000, 10007]:
+        m = moments_exact(n)
+        expected = [_fraction_point(k, m.mean, m.variance).hex() for k in range(1, n + 1)]
+        got = [distribution._standardized_point(k, n).hex() for k in range(1, n + 1)]
+        assert got == expected, n
+
+
 def test_ks_exact_order_two_against_two_atom_oracle():
     # two atoms at (1 - 5/3)/sqrt(2/9) = -sqrt(2) and (2 - 5/3)/sqrt(2/9)
     # = 1/sqrt(2), with masses 1/3 and 2/3; reference CDF from scipy's ndtr,

@@ -61,9 +61,9 @@ def test_exact_distance_and_mode_at_order_1200_stay_small():
 
 
 def test_exact_distance_and_mode_at_the_cap_start_no_helper():
-    # both read one fixed-point row of order 3000: 1.2 s and a 15.2 MiB
-    # peak, cold. The exact row, which alone would start a helper, took
-    # 11-13 s, 30.5 MiB and a helper of 26.7 MiB
+    # both read one banded fixed-point row of order 3000: 0.31-0.43 s and
+    # a 14.6-14.8 MiB peak, cold. The exact row, which alone would start a
+    # helper, took 11-13 s, 30.5 MiB and a helper of 26.7 MiB
     peak, helper = _peaks_mib(
         "from stirperm import triangle\n"
         "from stirperm.distribution import ks_distance_exact\n"

@@ -231,6 +231,31 @@ def test_fixed_row_encloses_the_normalized_exact_row(n):
     assert triangle.fixed_row(n) is fixed  # one row remembered
 
 
+def _full_width_fixed_rows(bits, orders):
+    """FixedRow for each of ``orders``, ascending, by the floored recurrence
+    on every entry of every row, walked once: the band's oracle."""
+    row = [1 << bits]
+    for m in range(1, max(orders) + 1):
+        if m > 1:
+            d = 2 * m - 1
+            row = [  # j = 2m - i
+                (i * a + j * b) // d
+                for i, j, a, b in zip(range(1, m + 1), range(d, m - 1, -1), row + [0], [0] + row)
+            ]
+        if m in orders:
+            yield triangle.FixedRow(m, bits, tuple(row), (1 << bits) - sum(row))
+
+
+def test_banded_fixed_row_is_the_full_width_row():
+    # all orders of one bit length share B, so one walk serves them all
+    by_bits = {}
+    for n in [*range(1, 401), 500, 600, 800, 1200, 3000]:
+        by_bits.setdefault(64 + 2 * n.bit_length(), set()).add(n)
+    for bits, orders in by_bits.items():
+        for expected in _full_width_fixed_rows(bits, orders):
+            assert triangle.fixed_row(expected.order) == expected, expected.order
+
+
 def test_fixed_route_only_past_the_crossover(monkeypatch):
     monkeypatch.setattr(triangle, "_last_row", (1,))
     monkeypatch.setattr(triangle, "_FIXED_WORK", 29)
