@@ -42,8 +42,9 @@ from .special import normal_pdf
 # request above its cap exits 3 before any work.
 #: ``normality`` (exact distance or plots) and ``mode`` read one row. The
 #: distance and the mode come from a banded fixed-point row where it is
-#: cheaper: ``normality --n 3000`` and ``mode --n 3000`` take 0.21-0.31 s
-#: with 15.6-15.7 MiB peak RSS and no helper (0.51-0.87 s at full width).
+#: cheaper: ``normality --n 3000`` and ``mode --n 3000`` take 0.21-0.37 s
+#: with 15.5-15.8 MiB peak RSS and no helper at 96-bit entries (0.20-0.33 s
+#: and 15.6-15.8 MiB at 88 bits, same session; 0.51-0.87 s at full width).
 #: The cap is set by the exact row, which ``--plot-out`` reads and which an
 #: uncertified result falls back to: it takes about n^3.3 bit operations,
 #: holding two rows. With a helper process on the row's right block,
@@ -51,13 +52,14 @@ from .special import normal_pdf
 #: 22 / 30.5 MiB peak RSS, the helper 17.6 / 26.7 MiB. In one process, as
 #: on one CPU, they take 4.7 / 18 s with 26 / 41 MiB, which keeps the cap.
 EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
-#: ``poly --n 1400 --wilf --format json`` takes 14 s with 47 MiB peak RSS
+#: ``poly --n 1400 --wilf --format json`` takes 8-12 s with 41 MiB peak RSS
 #: (1000: 3.4-3.7 s, 31 MiB), most of it the Gessel-Stanley check's Stirling
-#: walk; row 1400 takes 1.1-1.3 s with a 14 MiB helper while the second
-#: core is free (1.5-2.0 s in one process). From order 1424 on,
-#: P_n(1) = (2n-1)!!, and from
-#: 1425 the largest coefficient, pass Python's default limit of 4300 digits
-#: for printing an int, so the cap stays below that.
+#: walk (its quotient is one list built through 2n + 1 chained lazy prefix
+#: sums; a list per pass peaked at 47 MiB); row 1400 takes 1.1-1.3 s with a
+#: 14 MiB helper while the second core is free (1.5-2.0 s in one process).
+#: From order 1424 on, P_n(1) = (2n-1)!!, and from 1425 the largest
+#: coefficient, pass Python's default limit of 4300 digits for printing an
+#: int, so the cap stays below that.
 POLY_ORDER_CAP = 1400
 #: Rows stream (26 MiB at the cap), but the text is about n^3 digits:
 #: ``triangle --n-max 1000`` writes 813 MB of JSON in 30 s.

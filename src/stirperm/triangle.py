@@ -25,8 +25,9 @@ The exact distance to the normal law and the mode of row n need the row
 only up to a known error, so where extending the exact rows to n would cost
 more than ``_FIXED_WORK`` n^2 units, they are read from a fixed-point row.
 ``fixed_row`` scales the normalized row p_n(i) = T(n, i)/(2n - 1)!! by 2^B,
-B = 64 + 2 bitlen(n), and runs the exact recurrence divided by the ratio of
-the row sums, with each division floored:
+B = 64 + 2 max(16, bitlen(n)), which is 96 at every order below 2^16, and
+runs the exact recurrence divided by the ratio of the row sums, with each
+division floored:
     q_m(i) = floor((i q_(m-1)(i) + (2m - i) q_(m-1)(i-1)) / (2m - 1)).
 The weights are non-negative, so by induction each q_i is low by an error
 e_i >= 0, and the errors sum to delta = 2^B - sum q_i, which is exact at the
@@ -43,7 +44,12 @@ An entry whose two parents are 0 floors to 0, so a zeroed tail stays zero:
 the right, trims zeros at both ends and pads the band to the full-width row,
 bit for bit. The band is about 21 sigma wide (239 of 1200 entries, 379 of
 3000), so the row costs about n^1.5, not n^2: 65 ms at order 1200 and 0.20 s
-at 3000, against 0.15 and 0.87 s at full width (2-core host).
+at 3000, against 0.15 and 0.87 s at full width (2-core host). Since B is the
+same for every order below 2^16, a row is a function of n alone, and
+``fixed_row`` continues the remembered row's band when asked for a higher
+order at the same B; the result is the row a build from row 1 gives, bit
+for bit. So an ascending run of orders costs one walk to the highest:
+800 -> 1200 takes 20-32 ms, against 45-70 ms from row 1.
 
 The verify suite checks the rows against the derivative recurrence on the
 polynomials, P_n = (x - x^2) P_(n-1)' + (2n - 1) x P_(n-1), and this module
@@ -58,7 +64,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -90,9 +96,10 @@ _HELPER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "rowstep.py")
 #: bench's clt_exact workload traces at order 100; one-step ascending
 #: sweeps (3 n^2) stay exact by a wide margin.
 _FIXED_WORK = 120
-#: Bits of a fixed-point row beyond 2 bitlen(n). Step m adds less than m to
-#: delta, so delta < n(n + 1)/2 < 2^(2 bitlen(n) - 1), and every enclosure
-#: is narrower than 2^-65.
+#: Bits of a fixed-point row beyond 2 max(16, bitlen(n)). Step m adds less
+#: than m to delta, so delta < n(n + 1)/2 < 2^(2 bitlen(n) - 1), and every
+#: enclosure is narrower than 2^-65; below order 2^16, where B = 96, it is
+#: narrower than 2^(2 bitlen(n) - 97), 2^-73 at order 3000.
 _FIXED_GUARD_BITS = 64
 
 
@@ -192,30 +199,40 @@ def _extend_split(row: tuple[int, ...], n: int, k: int) -> tuple[int, ...] | Non
 
 def fixed_row(n: int) -> FixedRow:
     """Row n of the normalized triangle in fixed point, with
-    B = ``_FIXED_GUARD_BITS`` + 2 bitlen(n) bits, built on its nonzero band
-    (see the module docstring); the last row returned is remembered."""
+    B = ``_FIXED_GUARD_BITS`` + 2 max(16, bitlen(n)) bits, built on its
+    nonzero band (see the module docstring). The last row returned is
+    remembered, and a later order with the same B continues from its band;
+    any other request starts from row 1."""
     global _last_fixed
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if _last_fixed is None or _last_fixed.order != n:
-        bits = _FIXED_GUARD_BITS + 2 * n.bit_length()
-        lo, row = 1, [1 << bits]  # the nonzero band: entries lo .. lo + len(row) - 1
-        for m in range(2, n + 1):
-            d, top = 2 * m - 1, 2 * m - lo
-            row = [  # j = 2m - i
-                (i * a + j * b) // d
-                for i, j, a, b in zip(
-                    range(lo, lo + len(row) + 1), range(top, top - len(row) - 1, -1),
-                    row + [0], [0] + row,
-                )
-            ]
-            while not row[-1]:
-                row.pop()
-            while not row[0]:
-                del row[0]
-                lo += 1
-        entries = (0,) * (lo - 1) + tuple(row) + (0,) * (n + 1 - lo - len(row))
-        _last_fixed = FixedRow(n, bits, entries, (1 << bits) - sum(row))
+    bits = _FIXED_GUARD_BITS + 2 * max(16, n.bit_length())
+    last = _last_fixed
+    if last is None or last.bits != bits or last.order > n:
+        last = FixedRow(1, bits, (1 << bits,), 0)
+    elif last.order == n:
+        return last
+    row = list(last.entries)  # trimmed to the band: entries lo .. lo + len(row) - 1
+    lo = row.index(next(filter(None, row))) + 1
+    del row[: lo - 1]
+    while not row[-1]:
+        row.pop()
+    for m in range(last.order + 1, n + 1):
+        d, top = 2 * m - 1, 2 * m - lo
+        row = [  # j = 2m - i
+            (i * a + j * b) // d
+            for i, j, a, b in zip(
+                range(lo, lo + len(row) + 1), range(top, top - len(row) - 1, -1),
+                row + [0], [0] + row,
+            )
+        ]
+        while not row[-1]:
+            row.pop()
+        while not row[0]:
+            del row[0]
+            lo += 1
+    entries = (0,) * (lo - 1) + tuple(row) + (0,) * (n + 1 - lo - len(row))
+    _last_fixed = FixedRow(n, bits, entries, (1 << bits) - sum(row))
     return _last_fixed
 
 
@@ -262,13 +279,14 @@ def gessel_stanley_checks(orders: Iterable[int]) -> Iterator[tuple[int, bool]]:
     for d, row in zip(range(top + 1), _stirling_rows(2 * top + 1)):
         if d in wanted:
             size = 2 * d + 1
-            # P_d / (1 - x)^(2d+1) up to degree 2d; a P_d of higher degree
-            # leaves the quotient longer than the row, so it fails
-            quotient = list(descent_polynomial(d).coefficients)
-            quotient += [0] * (size - len(quotient))
+            # P_d / (1 - x)^(2d+1) up to degree 2d, as 2d + 1 chained lazy
+            # prefix sums, so one quotient list is built; a P_d of higher
+            # degree leaves the quotient longer than the row, so it fails
+            coefficients = descent_polynomial(d).coefficients
+            quotient = chain(coefficients, repeat(0, size - len(coefficients)))
             for _ in range(size):
-                quotient = list(accumulate(quotient))
-            yield d, row[:size] == quotient
+                quotient = accumulate(quotient)
+            yield d, row[:size] == list(quotient)
 
 
 def _stirling_rows(width: int) -> Iterator[list[int]]:

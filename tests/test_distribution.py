@@ -263,16 +263,18 @@ def test_exact_route_gives_the_frozen_values(monkeypatch):
 def test_uncertified_fixed_row_falls_back_to_the_exact_row(monkeypatch):
     # with B = 2 bitlen(n) the slack swamps both the CDF and the peak
     n = 300
+    bits = 2 * n.bit_length()
     monkeypatch.setattr(triangle, "_FIXED_WORK", 10**30)
     expected = (ks_distance_exact(n).hex(), locate_mode(n))
     monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
-    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 0)
+    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", bits - 2 * max(16, n.bit_length()))
     monkeypatch.setattr(triangle, "_last_fixed", None)  # a row of the full width
     rows = []
     monkeypatch.setattr(
         distribution, "triangle_row", lambda n: rows.append(n) or triangle.triangle_row(n)
     )
     fixed = triangle.fixed_row(n)
+    assert fixed.bits == bits
     support = distribution._standardized_support(moments_exact(n))
     assert distribution._sup_distance(fixed.entries, 1 << fixed.bits, support, fixed.slack) is None
     assert triangle._certified_argmax(fixed) is None

@@ -218,7 +218,7 @@ def test_fixed_row_encloses_the_normalized_exact_row(n):
     # 2^B p and its prefix sums exceed the fixed-point entries and theirs by
     # at least 0 and at most the slack; the slack gains less than m at step m
     fixed = triangle.fixed_row(n)
-    assert fixed.order == n and fixed.bits == 64 + 2 * n.bit_length()
+    assert fixed.order == n and fixed.bits == 64 + 2 * max(16, n.bit_length())
     assert fixed.slack == (1 << fixed.bits) - sum(fixed.entries)
     assert 0 <= fixed.slack < n * (n + 1) // 2
     population, scale = double_factorial(n), 1 << fixed.bits
@@ -246,14 +246,41 @@ def _full_width_fixed_rows(bits, orders):
             yield triangle.FixedRow(m, bits, tuple(row), (1 << bits) - sum(row))
 
 
-def test_banded_fixed_row_is_the_full_width_row():
-    # all orders of one bit length share B, so one walk serves them all
-    by_bits = {}
-    for n in [*range(1, 401), 500, 600, 800, 1200, 3000]:
-        by_bits.setdefault(64 + 2 * n.bit_length(), set()).add(n)
-    for bits, orders in by_bits.items():
-        for expected in _full_width_fixed_rows(bits, orders):
-            assert triangle.fixed_row(expected.order) == expected, expected.order
+def test_banded_fixed_row_is_the_full_width_row(monkeypatch):
+    # every order below 2^16 shares B = 96, so one walk serves them all, and
+    # the ascending calls reach each row by extending the one before
+    orders = {*range(1, 401), 500, 600, 800, 1200, 3000}
+    monkeypatch.setattr(triangle, "_last_fixed", None)
+    for expected in _full_width_fixed_rows(96, orders):
+        assert triangle.fixed_row(expected.order) == expected, expected.order
+
+
+def _cold_fixed_row(monkeypatch, n):
+    monkeypatch.setattr(triangle, "_last_fixed", None)
+    return triangle.fixed_row(n)
+
+
+def test_fixed_row_extends_the_remembered_row_only_upwards_at_one_scale(monkeypatch):
+    orders = (200, 400, 800, 1200, 3000)
+    cold = [_cold_fixed_row(monkeypatch, n) for n in orders]
+    monkeypatch.setattr(triangle, "_last_fixed", None)
+    assert [triangle.fixed_row(n) for n in orders] == cold
+    # the extension reads the remembered band: a made-up row 2 with all its
+    # weight on entry 2 steps to (0, 2 * 2^96 // 5, 3 * 2^96 // 5)
+    one = 1 << 96
+    made_up = triangle.FixedRow(2, 96, (0, one), 0)
+    stepped = (0, 2 * one // 5, 3 * one // 5)
+    monkeypatch.setattr(triangle, "_last_fixed", made_up)
+    assert triangle.fixed_row(3) == (3, 96, stepped, one - sum(stepped))
+    # an order below the remembered one starts from row 1
+    monkeypatch.setattr(triangle, "_last_fixed", made_up._replace(order=4))
+    assert triangle.fixed_row(3) == _cold_fixed_row(monkeypatch, 3)
+    # so does a remembered row with another B
+    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 72)
+    expected = _cold_fixed_row(monkeypatch, 3)
+    assert expected.bits == 104
+    monkeypatch.setattr(triangle, "_last_fixed", made_up)
+    assert triangle.fixed_row(3) == expected
 
 
 def test_fixed_route_only_past_the_crossover(monkeypatch):
