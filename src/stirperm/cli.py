@@ -40,29 +40,28 @@ from .special import normal_pdf
 
 # Order caps, each measured cold at the cap on a 2-core, 7 GiB host; a
 # request above its cap exits 3 before any work.
-#: ``normality`` (exact distance or plots) and ``mode`` read one row. The
-#: distance and the mode come from a banded fixed-point row where it is
-#: cheaper: ``normality --n 3000`` and ``mode --n 3000`` take 0.21-0.37 s
-#: with 15.5-15.8 MiB peak RSS and no helper at 96-bit entries (0.20-0.33 s
-#: and 15.6-15.8 MiB at 88 bits, same session; 0.51-0.87 s at full width).
-#: The cap is set by the exact row, which ``--plot-out`` reads and which an
-#: uncertified result falls back to: it takes about n^3.3 bit operations,
-#: holding two rows. With a helper process on the row's right block,
-#: ``normality --n 2000 / 3000 --plot-out`` take 3.0-3.4 / 11-13 s with
-#: 22 / 30.5 MiB peak RSS, the helper 17.6 / 26.7 MiB. In one process, as
-#: on one CPU, they take 4.7 / 18 s with 26 / 41 MiB, which keeps the cap.
+#: ``normality`` (exact distance or plots) and ``mode`` read rows of order
+#: n. The distance and the mode come from a banded fixed-point row where it
+#: is cheaper: ``normality --n 3000`` and ``mode --n 3000`` take 0.21-0.37 s
+#: with 15.5-15.8 MiB peak RSS at 96-bit entries (0.20-0.33 s and
+#: 15.6-15.8 MiB at 88 bits, run alongside; 0.51-0.87 s at full width). The
+#: ``--plot-out`` pmf comes from one of 1170-bit entries: ``normality --n
+#: 3000 --format json --plot-out`` takes 1.8-2.4 s with 16.2 MiB. The cap is
+#: set by the exact row, which an uncertified result falls back to: it takes
+#: about n^3.3 bit operations, holding two rows, and at order 3000 the exact
+#: row and distance take 13-18 s with 40 MiB.
 EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
-#: ``poly --n 1400 --wilf --format json`` takes 8-12 s with 41 MiB peak RSS
+#: ``poly --n 1400 --wilf --format json`` takes 14-15 s with 40 MiB peak RSS
 #: (1000: 3.4-3.7 s, 31 MiB), most of it the Gessel-Stanley check's Stirling
 #: walk (its quotient is one list built through 2n + 1 chained lazy prefix
-#: sums; a list per pass peaked at 47 MiB); row 1400 takes 1.1-1.3 s with a
-#: 14 MiB helper while the second core is free (1.5-2.0 s in one process).
+#: sums; a list per pass peaked at 47 MiB); ``poly --n 1400 --format json``
+#: takes 2.2-2.6 s with 31 MiB.
 #: From order 1424 on, P_n(1) = (2n-1)!!, and from 1425 the largest
 #: coefficient, pass Python's default limit of 4300 digits for printing an
 #: int, so the cap stays below that.
 POLY_ORDER_CAP = 1400
-#: Rows stream (26 MiB at the cap), but the text is about n^3 digits:
-#: ``triangle --n-max 1000`` writes 813 MB of JSON in 30 s.
+#: Rows stream (24 MiB at the cap), but the text is about n^3 digits:
+#: ``triangle --n-max 1000`` writes 813 MB of JSON in 26-32 s.
 TRIANGLE_ORDER_CAP = 1000
 #: ``roots --n 300 --interlace`` takes 22-30 s (21.4 MiB peak), and 200 takes
 #: 5.4-6.1 s (18 MiB); the cost grows like n^4.
@@ -358,8 +357,9 @@ def _cmd_normality(args) -> int:
     if args.samples is not None:
         _refuse_above(args.n, SAMPLING_ORDER_CAP, "Monte-Carlo distance")
     payload = _moments_payload(args.n)
-    # the plot reads the exact row: built first, it is the distance's row too
-    dist = distribution.normalized_distribution(args.n) if args.plot_out else None
+    # built first, so that the exact row a plot may fall back to serves the
+    # distance too
+    pmf = distribution.pmf_floats(args.n) if args.plot_out else None
     if not args.no_exact:
         payload["ks_exact"] = distribution.ks_distance_exact(args.n)
     if args.samples is not None:
@@ -368,12 +368,12 @@ def _cmd_normality(args) -> int:
         )
         payload["samples"] = args.samples
         payload["seed"] = args.seed
-    if dist is not None:
+    if pmf is not None:
         sigma = payload["sigma"]
         lines = ["t,density"]
         lines.extend(
-            f"{t!r},{c / dist.population * sigma!r}"
-            for t, c in zip(dist.standardized_support, dist.counts)
+            f"{distribution._standardized_point(k, args.n)!r},{p * sigma!r}"
+            for k, p in enumerate(pmf, start=1)
         )
         _write(args.plot_out, "\n".join(lines) + "\n")
     if args.plot_normal_out:

@@ -29,6 +29,12 @@ row gives, and elsewhere the term |F - Phi| is at most the larger of its
 two end terms, since float subtraction is monotone too. The distance is
 certified when no such bound passes the largest term known exactly, which
 is then the distance; otherwise it is computed from the exact row.
+
+The pmf floats that ``normality --plot-out`` draws are read the same way,
+from a fixed-point row 1074 bits wider, whose every enclosure is narrower
+than 2^-1074, the spacing of the subnormal floats: each float is certified
+where both ends of its entry's enclosure round alike, and if any entry is
+not, all of them are computed from the exact row.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .permutations import (
 from .polynomial import double_factorial
 from .rng import SplitMix64
 from .special import normal_cdf
-from .triangle import fixed_route, triangle_row
+from .triangle import fixed_route, fixed_row, triangle_row
 
 
 class Moments(NamedTuple):
@@ -269,6 +275,24 @@ def ks_distance_exact(n: int) -> float:
             return distance
     dist = normalized_distribution(n)
     return _sup_distance(dist.counts, dist.population, dist.standardized_support)
+
+
+#: Extra bits of the fixed-point row behind ``pmf_floats``: 2^-1074 is the
+#: least positive float.
+_SUBNORMAL_BITS = 1074
+
+
+def pmf_floats(n: int) -> tuple[float, ...]:
+    """T(n, i)/(2n - 1)!! for i = 1..n, each rounded correctly: from a
+    fixed-point row where every entry is certified, else from the exact row
+    (see the module docstring)."""
+    fixed = fixed_row(n, _SUBNORMAL_BITS)
+    scale, slack = 1 << fixed.bits, fixed.slack
+    pmf = tuple(q / scale for q in fixed.entries)
+    if all(p == (q + slack) / scale for p, q in zip(pmf, fixed.entries)):
+        return pmf
+    dist = normalized_distribution(n)
+    return tuple(c / dist.population for c in dist.counts)
 
 
 def sample_statistic_histogram(

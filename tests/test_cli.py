@@ -296,22 +296,65 @@ def _sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_normality_plot_reads_one_exact_row(tmp_path, capsys, monkeypatch):
-    # the plot's exact row serves the distance too, so no fixed-point row
-    # is built; the digests are those of the output before that route existed
-    from stirperm import triangle
+# stdout and --plot-out digests of ``normality --n N --plot-out``, as the
+# exact row gave them before the plot was read from a fixed-point row
+_PLOT_DIGESTS = {
+    400: ("c285c14d7024d0b4a25cb502846f8099ed9ba7a701e8d7367c9fb61d9916ab15",
+          "d8e67bddb11263ff960fd3752d5f6a603b66a147553162c1db3d15775f4e831e"),
+    1200: ("856a74a6cdeead04960e91a034b00f903e157d8fbd8ffc0d4a39679cae1cd9f3",
+           "626afa76b90bfdb053f320ada7590e12fb641a22753a80253641190e9a9bb2cf"),
+    3000: ("47ae86ae98641db07a895b9b87adde90f8a01e664a8a81f362032b4e519aa1de",
+           "e0045a3df2ad3a1dc0aeeacac95000a48b5570e6a9de4b987a4ee0cbac7c2604"),
+}
+
+
+def _plot_digests(tmp_path, capsys, n) -> tuple[str, str]:
+    plot = tmp_path / "pmf.csv"
+    code, out, err = run(capsys, "normality", "--n", str(n), "--plot-out", str(plot))
+    assert (code, err) == (0, "")
+    return hashlib.sha256(out.encode()).hexdigest(), _sha256_of(plot)
+
+
+@pytest.mark.parametrize("n", sorted(_PLOT_DIGESTS))
+def test_normality_plot_reads_no_exact_row(tmp_path, capsys, monkeypatch, n):
+    # the plot and the distance both certify their floats from fixed-point rows
+    from stirperm import cli
 
     def refuse(n):
-        raise AssertionError("fixed-point row built beside the plot's exact row")
+        raise AssertionError(f"exact row {n} built for the plot or the distance")
 
-    monkeypatch.setattr(triangle, "fixed_row", refuse)
-    plot = tmp_path / "pmf.csv"
-    code, out, err = run(capsys, "normality", "--n", "400", "--plot-out", str(plot))
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "c285c14d7024d0b4a25cb502846f8099ed9ba7a701e8d7367c9fb61d9916ab15"
-    )
-    assert _sha256_of(plot) == "d8e67bddb11263ff960fd3752d5f6a603b66a147553162c1db3d15775f4e831e"
+    monkeypatch.setattr(cli.triangle, "_last_row", (1,))
+    monkeypatch.setattr(cli.triangle, "triangle_row", refuse)
+    monkeypatch.setattr(cli.distribution, "triangle_row", refuse)
+    assert _plot_digests(tmp_path, capsys, n) == _PLOT_DIGESTS[n]
+
+
+def test_uncertified_plot_falls_back_to_one_exact_row(tmp_path, capsys, monkeypatch):
+    # a slack of 2^(B - 64), still a true bound, leaves the tails' floats
+    # uncertified, so the whole plot comes from the exact row; the distance
+    # reads that row too, so it is built once
+    from stirperm import cli, triangle
+
+    real_fixed, real_extend = triangle.fixed_row, triangle._extend
+    wide, extended = [], []
+
+    def widened(n, extra_bits=0):
+        row = real_fixed(n, extra_bits)
+        wide.append(row._replace(slack=1 << (row.bits - 64)))
+        return wide[-1]
+
+    def extend(row, n):
+        extended.append((len(row), n))
+        return real_extend(row, n)
+
+    monkeypatch.setattr(triangle, "_last_row", (1,))
+    monkeypatch.setattr(triangle, "_extend", extend)
+    monkeypatch.setattr(cli.distribution, "fixed_row", widened)
+    assert _plot_digests(tmp_path, capsys, 400) == _PLOT_DIGESTS[400]
+    (row,) = wide
+    scale = 1 << row.bits
+    assert any(q / scale != (q + row.slack) / scale for q in row.entries)
+    assert extended == [(1, 400), (400, 400)]  # the distance's call takes no step
 
 
 def test_normal_density_plot_builds_no_row(tmp_path, capsys, monkeypatch):
@@ -494,11 +537,11 @@ def _refuse_all_work(*args, **kwargs):
          ["triangle_row", "triangle_csv", "triangle_json"]),
         ("MODE_ORDER_CAP", ["mode", "--n"], ["locate_mode", "triangle_row", "fixed_row"]),
         ("EXACT_DISTANCE_ORDER_CAP", ["normality", "--n"], ["triangle_row", "fixed_row"]),
-        # a plot needs the exact row even when the distance is Monte-Carlo
+        # a plot needs a row even when the distance is Monte-Carlo
         ("EXACT_DISTANCE_ORDER_CAP",
          ["normality", "--no-exact", "--samples", "10", "--seed", "1",
           "--plot-out", os.devnull, "--n"],
-         ["triangle_row"]),
+         ["triangle_row", "fixed_row"]),
         ("SAMPLING_ORDER_CAP",
          ["normality", "--no-exact", "--samples", "10", "--seed", "1", "--n"], []),
         ("SAMPLE_ORDER_CAP", ["sample", "--count", "3", "--seed", "1", "--n"], []),
@@ -512,6 +555,7 @@ def test_order_caps_refuse_before_work(capsys, monkeypatch, cap, argv, work):
     for name in work:
         monkeypatch.setattr(cli.triangle, name, _refuse_all_work)
     monkeypatch.setattr(cli.distribution, "triangle_row", _refuse_all_work)
+    monkeypatch.setattr(cli.distribution, "fixed_row", _refuse_all_work)
     monkeypatch.setattr(cli.distribution, "sample_statistic_histogram", _refuse_all_work)
     monkeypatch.setattr(cli, "sample_word", _refuse_all_work)
     code, out, err = run(capsys, *argv, str(getattr(cli, cap) + 1))

@@ -21,6 +21,7 @@ from stirperm.distribution import (
     sum_identity_check,
 )
 from stirperm.permutations import enumerate_words, sample_word, word_statistics
+from stirperm.polynomial import double_factorial
 from stirperm.rng import SplitMix64
 from stirperm.special import normal_cdf
 from stirperm.triangle import ModeReport, locate_mode
@@ -251,8 +252,8 @@ def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
 
 
 def test_exact_route_gives_the_frozen_values(monkeypatch):
-    # the rows behind --plot-out and every fallback, at the orders that now
-    # take the fixed route by default
+    # the rows behind every fallback, at the orders that now take the fixed
+    # route by default
     monkeypatch.setattr(triangle, "_FIXED_WORK", 10**30)
     monkeypatch.setattr(triangle, "fixed_row", _refuse_fixed_row)
     for n, (ks_hex, argmax) in _EXACT_ROUTE.items():
@@ -280,6 +281,18 @@ def test_uncertified_fixed_row_falls_back_to_the_exact_row(monkeypatch):
     assert triangle._certified_argmax(fixed) is None
     assert (ks_distance_exact(n).hex(), locate_mode(n)) == expected
     assert rows == [n]
+
+
+def test_plot_pmf_is_the_exact_rows_floats(monkeypatch):
+    # every entry of the wide fixed-point row certifies at these orders, and
+    # its float is the correctly rounded T(n, i)/(2n - 1)!!
+    expected = {}
+    for n in range(2, 401):
+        population = double_factorial(n)
+        expected[n] = tuple(c / population for c in triangle.triangle_row(n))
+    monkeypatch.setattr(distribution, "triangle_row", _refuse_exact_row)
+    for n, pmf in expected.items():
+        assert distribution.pmf_floats(n) == pmf, n
 
 
 def test_ks_exact_golden_values_and_decrease():

@@ -45,11 +45,10 @@ def _peak_mib(work: str) -> float:
 
 
 def test_exact_distance_and_mode_at_order_1200_stay_small():
-    # holding every row up to 1200 took 674 MiB; two rows take a few MiB,
-    # here and in the helper that extends the right block of a large row.
-    # The exact row is built first, as --plot-out does, so both calls read
-    # it rather than a fixed-point row
-    peak, helper = _peaks_mib(
+    # holding every row up to 1200 took 674 MiB; two rows take a few MiB.
+    # The exact row is built first, as a plot that falls back to it does,
+    # so both calls read it rather than a fixed-point row
+    peak, children = _peaks_mib(
         "from stirperm import triangle\n"
         "from stirperm.distribution import ks_distance_exact, normalized_distribution\n"
         "normalized_distribution(1200)\n"
@@ -57,21 +56,33 @@ def test_exact_distance_and_mode_at_order_1200_stay_small():
         "triangle.locate_mode(1200)\n"
         "assert triangle._last_fixed is None, 'a fixed-point row was built'\n"
     )
-    assert peak + helper < 128
+    assert peak + children < 128
 
 
 def test_exact_distance_and_mode_at_the_cap_start_no_helper():
     # both read one banded fixed-point row of order 3000: 0.31-0.43 s and
-    # a 14.6-14.8 MiB peak, cold. The exact row, which alone would start a
-    # helper, took 11-13 s, 30.5 MiB and a helper of 26.7 MiB
-    peak, helper = _peaks_mib(
+    # a 14.6-14.8 MiB peak, cold. The exact row took 11-13 s, 30.5 MiB and a
+    # helper process of 26.7 MiB when it was split, 18 s and 41 MiB in one
+    peak, children = _peaks_mib(
         "from stirperm import triangle\n"
         "from stirperm.distribution import ks_distance_exact\n"
         "ks_distance_exact(3000)\n"
         "triangle.locate_mode(3000)\n"
         "assert triangle._last_row == (1,), 'an exact row was built'\n"
     )
-    assert peak + helper < 24
+    assert peak + children < 24
+
+
+def test_plot_pmf_at_the_cap_stays_small():
+    # the --plot-out pmf reads a fixed-point row of 1170 bits an entry:
+    # 16.2 MiB cold. The exact row of order 3000 takes 40 MiB in one process
+    peak, children = _peaks_mib(
+        "from stirperm import triangle\n"
+        "from stirperm.distribution import pmf_floats\n"
+        "pmf_floats(3000)\n"
+        "assert triangle._last_row == (1,), 'an exact row was built'\n"
+    )
+    assert peak + children < 24
 
 
 def test_polynomial_and_series_check_at_order_600_stay_small():

@@ -9,23 +9,25 @@ import stirperm
 PACKAGE = Path(stirperm.__file__).parent
 
 
-def test_package_imports_only_the_standard_library():
+def _absolute_imports() -> list[tuple[str, str]]:
+    """(file name, module name) for every absolute import in the package."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
-    outside = []
+    found = []
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                found += [(path.name, alias.name) for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            outside += [
-                f"{path.name}: {name}"
-                for name in names
-                if name.partition(".")[0] not in sys.stdlib_module_names
-            ]
+                found.append((path.name, node.module))
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    outside = [
+        f"{path}: {name}" for path, name in _absolute_imports()
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
     assert outside == []
 
 
@@ -55,24 +57,12 @@ def test_import_footprint_leaves_out_dataclasses_inspect_and_json():
     assert {"dataclasses", "inspect", "stirperm.verify", "subprocess"}.isdisjoint(added)
 
 
-def test_split_row_closes_every_pipe_under_dev_mode():
-    # a pipe or process left to the garbage collector warns there, and the
-    # warning, an error here, reaches the unraisable hook
-    probe = (
-        "import gc, sys\n"
-        "seen = []\n"
-        "sys.unraisablehook = seen.append\n"
-        "from stirperm import triangle\n"
-        "row = triangle._extend((1,), 30)\n"
-        "assert triangle._extend_split(row, 80, 20) == triangle._extend(row, 80)\n"
-        "triangle._HELPER = 'no such helper'\n"
-        "assert triangle._extend_split(row, 80, 20) is None\n"
-        "gc.collect()\n"
-        "sys.exit(f'unraisable: {seen}' if seen else 0)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", probe],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert (done.returncode, done.stderr) == (0, "")
+def test_package_starts_no_process():
+    # every row is built in the calling process, where the bench measures
+    # its time and memory; a helper process would escape both
+    spawners = {"subprocess", "multiprocessing", "concurrent"}
+    found = [
+        f"{path}: {name}" for path, name in _absolute_imports()
+        if name.partition(".")[0] in spawners
+    ]
+    assert found == []
