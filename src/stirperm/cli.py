@@ -45,11 +45,13 @@ from .special import normal_pdf
 #: is cheaper: ``normality --n 3000`` and ``mode --n 3000`` take 0.21-0.37 s
 #: with 15.5-15.8 MiB peak RSS at 96-bit entries (0.20-0.33 s and
 #: 15.6-15.8 MiB at 88 bits, run alongside; 0.51-0.87 s at full width). The
-#: ``--plot-out`` pmf comes from one of 1170-bit entries: ``normality --n
-#: 3000 --format json --plot-out`` takes 1.8-2.4 s with 16.2 MiB. The cap is
-#: set by the exact row, which an uncertified result falls back to: it takes
-#: about n^3.3 bit operations, holding two rows, and at order 3000 the exact
-#: row and distance take 13-18 s with 40 MiB.
+#: ``--plot-out`` pmf comes from one of 1170-bit entries, which serves the
+#: distance too: ``normality --n 3000 --format json --plot-out`` takes
+#: 1.5-1.8 s with 16.4-16.5 MiB (1.5-1.9 s with a second, 96-bit row for the
+#: distance, run alongside). The cap is set by the exact row, which an
+#: uncertified result falls back to: it takes about n^3.3 bit operations,
+#: holding two rows, and at order 3000 the exact row and distance take
+#: 13-18 s with 40 MiB.
 EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
 #: ``poly --n 1400 --wilf --format json`` takes 14-15 s with 40 MiB peak RSS
 #: (1000: 3.4-3.7 s, 31 MiB), most of it the Gessel-Stanley check's Stirling
@@ -60,8 +62,10 @@ EXACT_DISTANCE_ORDER_CAP = MODE_ORDER_CAP = 3000
 #: coefficient, pass Python's default limit of 4300 digits for printing an
 #: int, so the cap stays below that.
 POLY_ORDER_CAP = 1400
-#: Rows stream (24 MiB at the cap), but the text is about n^3 digits:
-#: ``triangle --n-max 1000`` writes 813 MB of JSON in 26-32 s.
+#: Rows stream, but the text is about n^3 digits: ``triangle --n-max 1000
+#: --format json`` writes 813 MB in 7.2-8.9 s with 24.8 MiB peak RSS (31-34 s
+#: when the entries were printed from ints), so the text, not the time,
+#: sets the cap.
 TRIANGLE_ORDER_CAP = 1000
 #: ``roots --n 300 --interlace`` takes 22-30 s (21.4 MiB peak), and 200 takes
 #: 5.4-6.1 s (18 MiB); the cost grows like n^4.
@@ -252,14 +256,17 @@ def _cmd_triangle(args) -> int:
     _refuse_above(args.n_max, TRIANGLE_ORDER_CAP, "triangle")
     if args.oracle:
         top = min(args.n_max, _ORACLE_ORDER_CAP)
-        for n, stat in itertools.product(range(1, top + 1), STAT_LABELS):
-            row, expected = triangle.triangle_row(n), brute_force_triangle(n, stat)
-            if row != expected:
-                sys.stderr.write(
-                    f"oracle disagreement at n={n} for {stat}: recurrence "
-                    f"{row} vs enumeration {expected}\n"
-                )
-                return 1
+        # the rows the writers print, read back as ints
+        for n, printed in enumerate(triangle.decimal_rows(top), start=1):
+            row = tuple(map(int, printed))
+            for stat in STAT_LABELS:
+                expected = brute_force_triangle(n, stat)
+                if row != expected:
+                    sys.stderr.write(
+                        f"oracle disagreement at n={n} for {stat}: recurrence "
+                        f"{row} vs enumeration {expected}\n"
+                    )
+                    return 1
         sys.stderr.write(f"oracle agreement for {', '.join(STAT_LABELS)}, n <= {top}\n")
     writer = triangle.triangle_json if args.format == "json" else triangle.triangle_csv
     _write_chunks(args.out, writer(args.n_max))
@@ -357,8 +364,8 @@ def _cmd_normality(args) -> int:
     if args.samples is not None:
         _refuse_above(args.n, SAMPLING_ORDER_CAP, "Monte-Carlo distance")
     payload = _moments_payload(args.n)
-    # built first, so that the exact row a plot may fall back to serves the
-    # distance too
+    # built first, so that the row it reads, fixed-point or the exact
+    # fallback, serves the distance too
     pmf = distribution.pmf_floats(args.n) if args.plot_out else None
     if not args.no_exact:
         payload["ks_exact"] = distribution.ks_distance_exact(args.n)

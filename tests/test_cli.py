@@ -222,6 +222,10 @@ _PINNED_STDOUT_SHA256 = {
         "49c61a162d5e422c0a3bf6511a1576f0993e8120211e15bbcdc9bba6f6140d6d",
     "roots --n 6 --width 1/1024":
         "45e3fa875e22cb2187a07163bb30cf172b3375fcba58c33fedeb5fc7ae84b616",
+    "triangle --n-max 300 --format json":
+        "bf77ad2b46dd767ddf3d1018686def02f3a5a4e21b6bfa4ce094773d419269e2",
+    "triangle --n-max 300 --format csv":
+        "525805901ed619ab8b2e3699c7fb5902dea1f71e27cdc6c79e5e656b157f71c9",
 }
 
 
@@ -534,7 +538,7 @@ def _refuse_all_work(*args, **kwargs):
     [
         ("POLY_ORDER_CAP", ["poly", "--n"], ["descent_polynomial"]),
         ("TRIANGLE_ORDER_CAP", ["triangle", "--n-max"],
-         ["triangle_row", "triangle_csv", "triangle_json"]),
+         ["triangle_row", "decimal_rows", "triangle_csv", "triangle_json"]),
         ("MODE_ORDER_CAP", ["mode", "--n"], ["locate_mode", "triangle_row", "fixed_row"]),
         ("EXACT_DISTANCE_ORDER_CAP", ["normality", "--n"], ["triangle_row", "fixed_row"]),
         # a plot needs a row even when the distance is Monte-Carlo

@@ -295,6 +295,22 @@ def test_plot_pmf_is_the_exact_rows_floats(monkeypatch):
         assert distribution.pmf_floats(n) == pmf, n
 
 
+def test_distance_after_the_plot_reads_the_plots_row(monkeypatch):
+    # as normality --plot-out asks: the 1170-bit row of the pmf certifies the
+    # distance too, and the value is the cold 96-bit row's, bit for bit
+    n = 400
+    monkeypatch.setattr(triangle, "_last_row", (1,))
+    monkeypatch.setattr(triangle, "_last_fixed", None)
+    cold = ks_distance_exact(n)
+    assert triangle._last_fixed.bits == 96
+    distribution.pmf_floats(n)
+    wide = triangle._last_fixed
+    assert (wide.order, wide.bits) == (n, 1170)
+    monkeypatch.setattr(distribution, "triangle_row", _refuse_exact_row)
+    assert ks_distance_exact(n).hex() == cold.hex()
+    assert triangle._last_fixed is wide  # no new row was built
+
+
 def test_ks_exact_golden_values_and_decrease():
     for n, golden in GOLDEN_KS_EXACT.items():
         assert abs(ks_distance_exact(n) - golden) < 1e-9

@@ -1,4 +1,7 @@
+import decimal
+import hashlib
 import json
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -213,9 +216,10 @@ def test_mode_two_case_pattern_medium_range():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
-def test_fixed_row_encloses_the_normalized_exact_row(n):
+def test_fixed_row_encloses_the_normalized_exact_row(monkeypatch, n):
     # 2^B p and its prefix sums exceed the fixed-point entries and theirs by
     # at least 0 and at most the slack; the slack gains less than m at step m
+    monkeypatch.setattr(triangle, "_last_fixed", None)  # no wider row of order n
     fixed = triangle.fixed_row(n)
     assert fixed.order == n and fixed.bits == 64 + 2 * max(16, n.bit_length())
     assert fixed.slack == (1 << fixed.bits) - sum(fixed.entries)
@@ -282,6 +286,15 @@ def test_fixed_row_extends_the_remembered_row_only_upwards_at_one_scale(monkeypa
     assert triangle.fixed_row(3) == expected
 
 
+def test_fixed_row_of_the_order_serves_a_request_for_fewer_bits(monkeypatch):
+    wide = _cold_fixed_row(monkeypatch, 7)
+    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 8)
+    assert triangle.fixed_row(7) is wide  # 8 guard bits asked, 64 remembered
+    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 72)
+    narrow = triangle.fixed_row(7)  # more bits than remembered: a new row
+    assert narrow.bits == wide.bits + 8 == _cold_fixed_row(monkeypatch, 7).bits
+
+
 def test_fixed_route_only_past_the_crossover(monkeypatch):
     monkeypatch.setattr(triangle, "_last_row", (1,))
     monkeypatch.setattr(triangle, "_FIXED_WORK", 29)
@@ -311,3 +324,55 @@ def test_json_export_and_round_trip():
     rows = triangle_rows(30)
     expected = json.dumps([list(r) for r in rows], separators=(",", ":")) + "\n"
     assert "".join(triangle_json(30)) == expected
+
+
+def test_writers_print_the_int_rows_text():
+    rows = triangle_rows(120)
+    for n in range(1, 121):
+        csv = "n,i,count\n" + "".join(
+            f"{m},{i},{c}\n" for m, row in enumerate(rows[:n], start=1)
+            for i, c in enumerate(row, start=1)
+        )
+        json_text = "[" + ",".join("[" + ",".join(map(str, r)) + "]" for r in rows[:n]) + "]\n"
+        assert ("".join(triangle_csv(n)), "".join(triangle_json(n))) == (csv, json_text), n
+
+
+def test_writers_need_no_int_digit_limit():
+    # row 300 has entries of about 700 digits, past this limit for str(int);
+    # the digests are those of the pinned triangle --n-max 300 stdout
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            str(max(triangle_row(300)))
+        json_text, csv_text = "".join(triangle_json(300)), "".join(triangle_csv(300))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert hashlib.sha256(json_text.encode()).hexdigest() == (
+        "bf77ad2b46dd767ddf3d1018686def02f3a5a4e21b6bfa4ce094773d419269e2"
+    )
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "525805901ed619ab8b2e3699c7fb5902dea1f71e27cdc6c79e5e656b157f71c9"
+    )
+
+
+def test_suspended_writer_leaves_the_callers_context():
+    before = decimal.getcontext()
+    settings = repr(before)
+    for writer in (triangle_json, triangle_csv):
+        chunks = writer(50)
+        assert [next(chunks) for _ in range(5)]
+        assert decimal.getcontext() is before and repr(before) == settings
+        with decimal.localcontext():  # a copy of the caller's: it rounds
+            assert decimal.Decimal(1) / 3 == decimal.Decimal("0.3333333333333333333333333333")
+        assert "".join(chunks)
+        assert decimal.getcontext() is before and repr(before) == settings
+
+
+def test_inexact_step_raises_rather_than_printing(monkeypatch):
+    # a context of 3 digits cannot hold row 6's 4-digit entries
+    narrow = triangle._EXACT_DECIMAL.copy()
+    narrow.prec = 3
+    monkeypatch.setattr(triangle, "_EXACT_DECIMAL", narrow)
+    with pytest.raises(decimal.Inexact):
+        "".join(triangle_json(6))
