@@ -11,13 +11,11 @@ normal distribution.
 
 from .distribution import (
     Moments,
-    NormalizedDistribution,
     PlateauIndicator,
     indicator_pair_step_checks,
     ks_distance_empirical,
     ks_distance_exact,
     moments_exact,
-    normalized_distribution,
     plateau_probability,
     sample_statistic_histogram,
     second_moments_by_recurrence,
@@ -63,7 +61,6 @@ __all__ = [
     "MAX_ENUMERATION_ORDER",
     "ModeReport",
     "Moments",
-    "NormalizedDistribution",
     "PlateauIndicator",
     "RealRootCertificate",
     "ResourceLimitExceeded",
@@ -83,7 +80,6 @@ __all__ = [
     "ks_distance_exact",
     "locate_mode",
     "moments_exact",
-    "normalized_distribution",
     "plateau_probability",
     "sample_statistic_histogram",
     "sample_uniform",

@@ -21,20 +21,20 @@ so each point is one correctly rounded int true division, one sqrt and a
 sign, with no gcd: the same float that float(Fraction) of the square gives.
 
 The exact distance is the float that the exact row gives, whichever row it
-is read from. Where ``triangle.fixed_route`` offers a fixed-point row, each
-exact CDF value F at a jump lies in [Q/2^B, (Q + delta)/2^B] (see the
-triangle module). Int true division rounds correctly, so it is monotone:
-where both ends round to the same float, that float is the one the exact
-row gives, and elsewhere the term |F - Phi| is at most the larger of its
-two end terms, since float subtraction is monotone too. The distance is
-certified when no such bound passes the largest term known exactly, which
-is then the distance; otherwise it is computed from the exact row.
+is read from. It is read from the first of ``triangle.row_enclosures(n)``
+that certifies it. In a row of scale S and slack delta, each exact CDF value
+F at a jump lies in [Q/S, (Q + delta)/S] (see the triangle module). Int true
+division rounds correctly, so it is monotone: where both ends round to the
+same float, that float is the one the exact row gives, and elsewhere the
+term |F - Phi| is at most the larger of its two end terms, since float
+subtraction is monotone too. The distance is certified when no such bound
+passes the largest term known exactly, which is then the distance. The
+exact row, with slack 0, always certifies.
 
 The pmf floats that ``normality --plot-out`` draws are read the same way,
-from a fixed-point row 1074 bits wider, whose every enclosure is narrower
-than 2^-1074, the spacing of the subnormal floats: each float is certified
-where both ends of its entry's enclosure round alike, and if any entry is
-not, all of them are computed from the exact row.
+first from a fixed-point row 1074 bits wider, whose every enclosure is
+narrower than 2^-1074, the spacing of the subnormal floats: a row certifies
+the pmf where both ends of every entry's enclosure round alike.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .permutations import (
 from .polynomial import double_factorial
 from .rng import SplitMix64
 from .special import normal_cdf
-from .triangle import fixed_route, fixed_row, triangle_row
+from .triangle import FixedRow, row_enclosures
 
 
 class Moments(NamedTuple):
@@ -196,23 +196,6 @@ def indicator_pair_step_checks(n: int) -> bool:
 
 # --- standardized distribution and distances --------------------------------
 
-class NormalizedDistribution(NamedTuple):
-    """Exact law of the statistic on values 1..n: the triangle row
-    ``counts`` over ``population`` = (2n - 1)!!, with the standardized
-    support points (value - mean)/sigma."""
-
-    order: int
-    counts: tuple[int, ...]
-    population: int
-    mean: Fraction
-    variance: Fraction
-    standardized_support: tuple[float, ...]
-
-    @property
-    def pmf(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.population) for c in self.counts)
-
-
 def _standardized_point(k: int, n: int) -> float:
     # (k - mean)/sigma at order n >= 2, from the exact square in the module
     # docstring: the only roundings are one int true division and one sqrt
@@ -220,20 +203,12 @@ def _standardized_point(k: int, n: int) -> float:
     return copysign(sqrt(offset * offset * (2 * n - 1) / (2 * (n * n - 1))), offset)
 
 
-def _standardized_support(m: Moments) -> tuple[float, ...]:
-    return tuple(_standardized_point(k, m.order) for k in range(1, m.order + 1))
-
-
-def normalized_distribution(n: int) -> NormalizedDistribution:
+def _standardized_support(n: int) -> tuple[float, ...]:
     if n < 2:
         raise ValueError(
             f"order must be >= 2 to standardize (variance is 0 at 1), got {n}"
         )
-    m = moments_exact(n)
-    return NormalizedDistribution(
-        n, triangle_row(n), double_factorial(n), m.mean, m.variance,
-        _standardized_support(m),
-    )
+    return tuple(_standardized_point(k, n) for k in range(1, n + 1))
 
 
 def _sup_distance(counts, total: int, support, slack: int = 0) -> float | None:
@@ -265,16 +240,14 @@ def _sup_distance(counts, total: int, support, slack: int = 0) -> float | None:
 
 def ks_distance_exact(n: int) -> float:
     """Sup distance between the standardized exact distribution's step CDF
-    and the standard normal CDF: from ``triangle.fixed_route(n)`` where it
-    is certified there, else from the exact row."""
-    fixed = fixed_route(n)
-    if fixed is not None:
-        support = _standardized_support(moments_exact(n))
-        distance = _sup_distance(fixed.entries, 1 << fixed.bits, support, fixed.slack)
-        if distance is not None:
-            return distance
-    dist = normalized_distribution(n)
-    return _sup_distance(dist.counts, dist.population, dist.standardized_support)
+    and the standard normal CDF, from the first of
+    ``triangle.row_enclosures(n)`` that certifies it."""
+    support = _standardized_support(n)
+    distances = (
+        _sup_distance(row.entries, row.scale, support, row.slack)
+        for row in row_enclosures(n)
+    )
+    return next(d for d in distances if d is not None)
 
 
 #: Extra bits of the fixed-point row behind ``pmf_floats``: 2^-1074 is the
@@ -283,16 +256,19 @@ _SUBNORMAL_BITS = 1074
 
 
 def pmf_floats(n: int) -> tuple[float, ...]:
-    """T(n, i)/(2n - 1)!! for i = 1..n, each rounded correctly: from a
-    fixed-point row where every entry is certified, else from the exact row
-    (see the module docstring)."""
-    fixed = fixed_row(n, _SUBNORMAL_BITS)
-    scale, slack = 1 << fixed.bits, fixed.slack
-    pmf = tuple(q / scale for q in fixed.entries)
-    if all(p == (q + slack) / scale for p, q in zip(pmf, fixed.entries)):
+    """T(n, i)/(2n - 1)!! for i = 1..n, each rounded correctly, from the
+    first of ``triangle.row_enclosures(n, _SUBNORMAL_BITS)`` that certifies
+    every entry (see the module docstring)."""
+    return next(p for p in map(_pmf, row_enclosures(n, _SUBNORMAL_BITS)) if p is not None)
+
+
+def _pmf(row: FixedRow) -> tuple[float, ...] | None:
+    """The floats q/scale of the entries q, when each equals
+    (q + slack)/scale, so that it is the exact entry's float; else None."""
+    pmf = tuple(q / row.scale for q in row.entries)
+    if all(p == (q + row.slack) / row.scale for p, q in zip(pmf, row.entries)):
         return pmf
-    dist = normalized_distribution(n)
-    return tuple(c / dist.population for c in dist.counts)
+    return None
 
 
 def sample_statistic_histogram(

@@ -180,9 +180,8 @@ class GapWitness(NamedTuple):
 
 class InterlaceCertificate(NamedTuple):
     order: int
-    verified: bool  # always True, and failure always None: a failed check raises
+    verified: bool  # always True: a failed check raises
     witnesses: tuple[GapWitness, ...]
-    failure: str | None = None
 
 
 def interlace_certificate(n: int) -> InterlaceCertificate:

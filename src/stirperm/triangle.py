@@ -10,27 +10,31 @@ row it returned, so a run of calls in ascending order costs one recurrence
 step each and memory stays at two rows. The certifier walks the rows
 upwards.
 
-The exact distance to the normal law and the mode of row n need the row
-only up to a known error, so where extending the exact rows to n would cost
-more than ``_FIXED_WORK`` n^2 units, they are read from a fixed-point row.
-``fixed_row`` scales the normalized row p_n(i) = T(n, i)/(2n - 1)!! by 2^B,
-B = 64 + 2 max(16, bitlen(n)), which is 96 at every order below 2^16, and
-runs the exact recurrence divided by the ratio of the row sums, with each
-division floored:
+The exact distance to the normal law, the mode and the ``normality
+--plot-out`` pmf of row n need the row only up to a known error. Each is
+read from an enclosure of the normalized row p_n(i) = T(n, i)/(2n - 1)!!,
+a ``FixedRow`` of entries q and scale S: each entry and each prefix sum of
+S p_n lies in [Q, Q + slack], Q being the matching entry or prefix sum of
+q. The exact row is the enclosure with S = (2n - 1)!!, q = T(n, .) and
+slack 0. ``fixed_row`` gives one with S = 2^B, B = 64 + 2 max(16, bitlen(n)),
+96 at every order below 2^16, by the exact recurrence divided by the ratio
+of the row sums, with each division floored:
     q_m(i) = floor((i q_(m-1)(i) + (2m - i) q_(m-1)(i-1)) / (2m - 1)).
 The weights are non-negative, so by induction each q_i is low by an error
-e_i >= 0, and the errors sum to delta = 2^B - sum q_i, which is exact at the
-end. So each entry and each prefix sum of 2^B p_n lies in [Q, Q + delta],
-where Q is the matching entry or prefix sum of q. The argmax is certified
-when the top q_i beats every other entry by more than delta;
-``distribution.ks_distance_exact`` certifies its float from the same
-enclosure, and ``distribution.pmf_floats`` (the ``normality --plot-out``
-pmf) each of its floats from a row 1074 bits wider. Every enclosure is a
-true bound whatever B is, so a request for the remembered row's order and
-at most its B reads that row: the distance after a plot is certified from
-the plot's row. Whatever is not certified is computed from the exact row,
-so no result depends on the route. Ascending sweeps in steps of up to
-about 40 orders extend ``_last_row`` on the exact route.
+e_i >= 0, and the errors sum to the slack 2^B - sum q_i, exact at the end.
+``row_enclosures`` yields ``fixed_row(n)`` first where extending the exact
+rows to n would cost more than ``_FIXED_WORK`` n^2 units (the plot always
+asks for a row 1074 bits wider), then the exact row, built only if reached.
+Each result has one rule that certifies it from any enclosure or moves on:
+``locate_mode`` takes the indices whose entry plus the slack reaches the
+top, certified when there is one or the slack is 0 (the exact tie set);
+``distribution.ks_distance_exact`` and ``distribution.pmf_floats`` certify
+a float where both ends of its enclosure round alike. At slack 0 every rule
+certifies the exact row's result, so no result depends on the row it is
+read from. A request for the remembered fixed row's order and at most its B
+reads that row, whose enclosure holds whatever B is: the distance after a
+plot is certified from the plot's row. Ascending sweeps in steps of up to
+about 40 orders extend ``_last_row`` and read the exact row.
 
 An entry whose two parents are 0 floors to 0, so a zeroed tail stays zero:
 ``fixed_row`` runs the step on the nonzero band alone, one entry wider on
@@ -74,8 +78,9 @@ from .polynomial import IntPolynomial
 
 _last_row: tuple[int, ...] = (1,)
 
-#: The distance and the mode of row n are read from its fixed-point row when
-#: the exact rows would take more than this many times n^2 units to extend.
+#: ``row_enclosures`` offers the fixed-point row of order n before the exact
+#: row when the exact rows would take more than this many times n^2 units to
+#: extend.
 #: The banded row costs about n^1.5, so a threshold on the units alone would
 #: send short extensions at large n to the dearer route. Distance plus mode,
 #: exact / fixed, medians of 7 in process on a 2-core host:
@@ -98,13 +103,13 @@ _FIXED_GUARD_BITS = 64
 
 
 class FixedRow(NamedTuple):
-    """Row ``order`` of the normalized triangle p in fixed point: 2^bits p(i)
-    and each prefix sum of 2^bits p exceed their counterparts in ``entries``
-    by at least 0 and at most ``slack``, 2^bits minus the sum of the
-    entries."""
+    """Row ``order`` of the normalized triangle p as an enclosure: scale p(i)
+    and each prefix sum of scale p exceed their counterparts in ``entries``
+    by at least 0 and at most ``slack``, the scale minus the sum of the
+    entries. The exact row has scale (2n - 1)!! and slack 0."""
 
     order: int
-    bits: int
+    scale: int
     entries: tuple[int, ...]
     slack: int
 
@@ -143,12 +148,12 @@ def fixed_row(n: int, extra_bits: int = 0) -> FixedRow:
     global _last_fixed
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    bits = _FIXED_GUARD_BITS + extra_bits + 2 * max(16, n.bit_length())
+    scale = 1 << (_FIXED_GUARD_BITS + extra_bits + 2 * max(16, n.bit_length()))
     last = _last_fixed
-    if last is not None and last.order == n and last.bits >= bits:
+    if last is not None and last.order == n and last.scale >= scale:
         return last
-    if last is None or last.bits != bits or last.order > n:
-        last = FixedRow(1, bits, (1 << bits,), 0)
+    if last is None or last.scale != scale or last.order > n:
+        last = FixedRow(1, scale, (scale,), 0)
     row = list(last.entries)  # trimmed to the band: entries lo .. lo + len(row) - 1
     lo = row.index(next(filter(None, row))) + 1
     del row[: lo - 1]
@@ -169,15 +174,20 @@ def fixed_row(n: int, extra_bits: int = 0) -> FixedRow:
             del row[0]
             lo += 1
     entries = (0,) * (lo - 1) + tuple(row) + (0,) * (n + 1 - lo - len(row))
-    _last_fixed = FixedRow(n, bits, entries, (1 << bits) - sum(row))
+    _last_fixed = FixedRow(n, scale, entries, scale - sum(row))
     return _last_fixed
 
 
-def fixed_route(n: int) -> FixedRow | None:
-    """``fixed_row(n)`` when extending the exact rows to n would cost more
-    than ``_FIXED_WORK`` n^2 units, else None."""
+def row_enclosures(n: int, extra_bits: int = 0) -> Iterator[FixedRow]:
+    """The enclosures of row n that a result tries in turn (see the module
+    docstring): ``fixed_row(n, extra_bits)`` when extra bits are asked for or
+    extending the exact rows to n would cost more than ``_FIXED_WORK`` n^2
+    units, then the exact row, built only if it is reached."""
     start = len(_last_row) if len(_last_row) <= n else 1
-    return fixed_row(n) if n**3 - start**3 > _FIXED_WORK * n**2 else None
+    if extra_bits or n**3 - start**3 > _FIXED_WORK * n**2:
+        yield fixed_row(n, extra_bits)
+    row = triangle_row(n)
+    yield FixedRow(n, sum(row), row, 0)
 
 
 def triangle_rows(n_max: int) -> list[tuple[int, ...]]:
@@ -265,15 +275,10 @@ def locate_mode(n: int) -> ModeReport:
     The mean statistic value is (2n + 1)/3; real-rootedness forces every
     peak within distance 1 of it, so the predicted set is {(2n+1)/3} when
     that is an integer and {floor, ceil} otherwise. Ties are reported as a
-    set, never broken. The argmax is read from ``fixed_route(n)`` where it
-    is certified there, and from the exact row otherwise.
+    set, never broken. The argmax is read from the first of
+    ``row_enclosures(n)`` that certifies it.
     """
-    fixed = fixed_route(n)
-    argmax = None if fixed is None else _certified_argmax(fixed)
-    if argmax is None:
-        row = triangle_row(n)
-        top = max(row)
-        argmax = tuple(i for i, v in enumerate(row, start=1) if v == top)
+    argmax = next(a for a in map(_argmax, row_enclosures(n)) if a is not None)
     mean = Fraction(2 * n + 1, 3)
     if mean.denominator == 1:
         predicted = (int(mean),)
@@ -283,16 +288,14 @@ def locate_mode(n: int) -> ModeReport:
     return ModeReport(n, mean, argmax, predicted)
 
 
-def _certified_argmax(row: FixedRow) -> tuple[int, ...] | None:
-    """The exact row's argmax, when the top entry of ``row`` beats every
-    other by more than the slack: each exact entry exceeds its fixed-point
-    entry by at most the slack. None otherwise."""
-    entries = row.entries
-    top = max(entries)
-    runner_up = max((v for v in entries if v != top), default=-1)
-    if entries.count(top) == 1 and top - runner_up > row.slack:
-        return (entries.index(top) + 1,)
-    return None
+def _argmax(row: FixedRow) -> tuple[int, ...] | None:
+    """The indices i with q_i + slack >= max q, those whose exact entry may
+    be the largest: each exceeds its entry q_i by at most the slack. They
+    are the exact row's argmax when there is one of them or the slack is 0;
+    None otherwise."""
+    least = max(row.entries) - row.slack
+    argmax = tuple(i for i, q in enumerate(row.entries, start=1) if q >= least)
+    return argmax if len(argmax) == 1 or not row.slack else None
 
 
 # --- export formats ---------------------------------------------------------

@@ -329,7 +329,6 @@ def test_normality_plot_reads_no_exact_row(tmp_path, capsys, monkeypatch, n):
 
     monkeypatch.setattr(cli.triangle, "_last_row", (1,))
     monkeypatch.setattr(cli.triangle, "triangle_row", refuse)
-    monkeypatch.setattr(cli.distribution, "triangle_row", refuse)
     assert _plot_digests(tmp_path, capsys, n) == _PLOT_DIGESTS[n]
 
 
@@ -344,7 +343,7 @@ def test_uncertified_plot_falls_back_to_one_exact_row(tmp_path, capsys, monkeypa
 
     def widened(n, extra_bits=0):
         row = real_fixed(n, extra_bits)
-        wide.append(row._replace(slack=1 << (row.bits - 64)))
+        wide.append(row._replace(slack=row.scale >> 64))
         return wide[-1]
 
     def extend(row, n):
@@ -353,11 +352,10 @@ def test_uncertified_plot_falls_back_to_one_exact_row(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(triangle, "_last_row", (1,))
     monkeypatch.setattr(triangle, "_extend", extend)
-    monkeypatch.setattr(cli.distribution, "fixed_row", widened)
+    monkeypatch.setattr(triangle, "fixed_row", widened)
     assert _plot_digests(tmp_path, capsys, 400) == _PLOT_DIGESTS[400]
     (row,) = wide
-    scale = 1 << row.bits
-    assert any(q / scale != (q + row.slack) / scale for q in row.entries)
+    assert any(q / row.scale != (q + row.slack) / row.scale for q in row.entries)
     assert extended == [(1, 400), (400, 400)]  # the distance's call takes no step
 
 
@@ -367,7 +365,6 @@ def test_normal_density_plot_builds_no_row(tmp_path, capsys, monkeypatch):
     from stirperm import cli
 
     monkeypatch.setattr(cli.triangle, "triangle_row", _refuse_all_work)
-    monkeypatch.setattr(cli.distribution, "triangle_row", _refuse_all_work)
     plot = tmp_path / "normal.csv"
     code, _, err = run(
         capsys, "normality", "--n", "3000", "--no-exact", "--samples", "1", "--seed", "1",
@@ -558,8 +555,6 @@ def test_order_caps_refuse_before_work(capsys, monkeypatch, cap, argv, work):
 
     for name in work:
         monkeypatch.setattr(cli.triangle, name, _refuse_all_work)
-    monkeypatch.setattr(cli.distribution, "triangle_row", _refuse_all_work)
-    monkeypatch.setattr(cli.distribution, "fixed_row", _refuse_all_work)
     monkeypatch.setattr(cli.distribution, "sample_statistic_histogram", _refuse_all_work)
     monkeypatch.setattr(cli, "sample_word", _refuse_all_work)
     code, out, err = run(capsys, *argv, str(getattr(cli, cap) + 1))

@@ -14,7 +14,6 @@ from stirperm.distribution import (
     ks_distance_empirical,
     ks_distance_exact,
     moments_exact,
-    normalized_distribution,
     plateau_probability,
     sample_statistic_histogram,
     second_moments_by_recurrence,
@@ -145,23 +144,14 @@ def test_top_value_pairing_is_free():
         assert pairs.get((i, 4), Fraction(0)) == singles[i]
 
 
-def test_normalized_distribution_small_orders():
-    d2 = normalized_distribution(2)
-    assert d2.pmf == (Fraction(1, 3), Fraction(2, 3))
-    d3 = normalized_distribution(3)
-    assert d3.pmf == (Fraction(1, 15), Fraction(8, 15), Fraction(6, 15))
-    assert (d3.counts, d3.population) == ((1, 8, 6), 15)
-    for n in (2, 5, 40):
-        assert sum(normalized_distribution(n).pmf) == 1
-    with pytest.raises(ValueError):
-        normalized_distribution(1)
-
-
 def test_standardized_support_is_increasing_and_centered():
-    d = normalized_distribution(30)
-    assert all(a < b for a, b in zip(d.standardized_support, d.standardized_support[1:]))
-    mean = sum(p * Fraction(k) for k, p in enumerate(d.pmf, start=1))
-    assert mean == d.mean
+    support = distribution._standardized_support(30)
+    assert all(a < b for a, b in zip(support, support[1:]))
+    row = triangle.triangle_row(30)
+    mean = Fraction(sum(k * c for k, c in enumerate(row, start=1)), double_factorial(30))
+    assert mean == moments_exact(30).mean
+    with pytest.raises(ValueError):
+        distribution._standardized_support(1)  # the variance is 0
 
 
 def _fraction_point(k, mean, variance):
@@ -197,13 +187,13 @@ def test_ks_exact_order_two_against_two_atom_oracle():
 def _ks_fraction_reference(n):
     """The exact distance from a Fraction pmf: each running Fraction CDF
     value is converted to float where it meets the normal CDF."""
-    dist = normalized_distribution(n)
+    population = double_factorial(n)
     worst = 0.0
     cumulative = Fraction(0)
-    for weight, t in zip(dist.pmf, dist.standardized_support):
+    for count, t in zip(triangle.triangle_row(n), distribution._standardized_support(n)):
         phi = normal_cdf(t)
         below = abs(float(cumulative) - phi)
-        cumulative += weight
+        cumulative += Fraction(count, population)
         above = abs(float(cumulative) - phi)
         worst = max(worst, below, above)
     return worst
@@ -246,7 +236,6 @@ def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
     # every order takes the fixed-point route, and a fallback fails
     monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
     monkeypatch.setattr(triangle, "triangle_row", _refuse_exact_row)
-    monkeypatch.setattr(distribution, "triangle_row", _refuse_exact_row)
     for n, (ks_hex, mode) in expected.items():
         assert (ks_distance_exact(n).hex(), locate_mode(n)) == (ks_hex, mode), n
 
@@ -270,17 +259,17 @@ def test_uncertified_fixed_row_falls_back_to_the_exact_row(monkeypatch):
     monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
     monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", bits - 2 * max(16, n.bit_length()))
     monkeypatch.setattr(triangle, "_last_fixed", None)  # a row of the full width
-    rows = []
-    monkeypatch.setattr(
-        distribution, "triangle_row", lambda n: rows.append(n) or triangle.triangle_row(n)
-    )
     fixed = triangle.fixed_row(n)
-    assert fixed.bits == bits
-    support = distribution._standardized_support(moments_exact(n))
-    assert distribution._sup_distance(fixed.entries, 1 << fixed.bits, support, fixed.slack) is None
-    assert triangle._certified_argmax(fixed) is None
+    assert fixed.scale == 1 << bits
+    support = distribution._standardized_support(n)
+    assert distribution._sup_distance(fixed.entries, fixed.scale, support, fixed.slack) is None
+    top = max(fixed.entries)
+    assert sum(q + fixed.slack >= top for q in fixed.entries) > 1  # no single peak
+    assert triangle._argmax(fixed) is None
+    rows, real_row = [], triangle.triangle_row
+    monkeypatch.setattr(triangle, "triangle_row", lambda n: rows.append(n) or real_row(n))
     assert (ks_distance_exact(n).hex(), locate_mode(n)) == expected
-    assert rows == [n]
+    assert rows == [n, n]  # the distance and the mode each fell back
 
 
 def test_plot_pmf_is_the_exact_rows_floats(monkeypatch):
@@ -290,7 +279,7 @@ def test_plot_pmf_is_the_exact_rows_floats(monkeypatch):
     for n in range(2, 401):
         population = double_factorial(n)
         expected[n] = tuple(c / population for c in triangle.triangle_row(n))
-    monkeypatch.setattr(distribution, "triangle_row", _refuse_exact_row)
+    monkeypatch.setattr(triangle, "triangle_row", _refuse_exact_row)
     for n, pmf in expected.items():
         assert distribution.pmf_floats(n) == pmf, n
 
@@ -302,11 +291,11 @@ def test_distance_after_the_plot_reads_the_plots_row(monkeypatch):
     monkeypatch.setattr(triangle, "_last_row", (1,))
     monkeypatch.setattr(triangle, "_last_fixed", None)
     cold = ks_distance_exact(n)
-    assert triangle._last_fixed.bits == 96
+    assert triangle._last_fixed.scale == 1 << 96
     distribution.pmf_floats(n)
     wide = triangle._last_fixed
-    assert (wide.order, wide.bits) == (n, 1170)
-    monkeypatch.setattr(distribution, "triangle_row", _refuse_exact_row)
+    assert (wide.order, wide.scale) == (n, 1 << 1170)
+    monkeypatch.setattr(triangle, "triangle_row", _refuse_exact_row)
     assert ks_distance_exact(n).hex() == cold.hex()
     assert triangle._last_fixed is wide  # no new row was built
 
@@ -344,10 +333,10 @@ def test_statistic_histogram_matches_word_sampler_distribution():
     hist_words = [0] * 4
     for _ in range(samples):
         hist_words[word_statistics(sample_word(3, rng)).plateaux] += 1
-    exact = normalized_distribution(3).pmf
+    exact = [c / 15 for c in triangle.triangle_row(3)]
     for k in range(1, 4):
-        assert abs(hist_chain[k] / samples - float(exact[k - 1])) < 0.01
-        assert abs(hist_words[k] / samples - float(exact[k - 1])) < 0.01
+        assert abs(hist_chain[k] / samples - exact[k - 1]) < 0.01
+        assert abs(hist_words[k] / samples - exact[k - 1]) < 0.01
     assert sum(hist_chain) == samples
 
 

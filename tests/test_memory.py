@@ -50,8 +50,8 @@ def test_exact_distance_and_mode_at_order_1200_stay_small():
     # so both calls read it rather than a fixed-point row
     peak, children = _peaks_mib(
         "from stirperm import triangle\n"
-        "from stirperm.distribution import ks_distance_exact, normalized_distribution\n"
-        "normalized_distribution(1200)\n"
+        "from stirperm.distribution import ks_distance_exact\n"
+        "triangle.triangle_row(1200)\n"
         "ks_distance_exact(1200)\n"
         "triangle.locate_mode(1200)\n"
         "assert triangle._last_fixed is None, 'a fixed-point row was built'\n"

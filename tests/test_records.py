@@ -6,7 +6,7 @@ import json
 import pytest
 
 from stirperm.cli import main
-from stirperm.distribution import moments_exact, normalized_distribution, plateau_probability
+from stirperm.distribution import moments_exact, plateau_probability
 from stirperm.permutations import sample_uniform, word_statistics
 from stirperm.sturm import GapWitness, certify_real_roots, interlace_certificate
 from stirperm.triangle import locate_mode
@@ -15,7 +15,6 @@ from stirperm.verify import CheckResult
 RECORDS = {
     "Moments": lambda: moments_exact(4),
     "PlateauIndicator": lambda: plateau_probability(4, 2),
-    "NormalizedDistribution": lambda: normalized_distribution(4),
     "StatCounts": lambda: word_statistics((1, 1, 2, 2)),
     "StirlingPermutation": lambda: sample_uniform(4, 0),
     "RealRootCertificate": lambda: certify_real_roots(4),

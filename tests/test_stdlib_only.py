@@ -66,3 +66,13 @@ def test_package_starts_no_process():
         if name.partition(".")[0] in spawners
     ]
     assert found == []
+
+
+def test_public_names_resolve_once_each():
+    names = stirperm.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(stirperm, name)]
+    assert missing == []
+    namespace = {}
+    exec("from stirperm import *", namespace)
+    assert set(names) <= set(namespace)

@@ -223,7 +223,7 @@ def test_interlace_order_three_brackets_known_root():
 def test_interlace_verified_through_order_twelve():
     for n in range(2, 13):
         cert = interlace_certificate(n)
-        assert cert.verified, cert.failure
+        assert cert.verified
         assert len(cert.witnesses) == (0 if n == 2 else n - 1)
 
 

@@ -221,10 +221,10 @@ def test_fixed_row_encloses_the_normalized_exact_row(monkeypatch, n):
     # at least 0 and at most the slack; the slack gains less than m at step m
     monkeypatch.setattr(triangle, "_last_fixed", None)  # no wider row of order n
     fixed = triangle.fixed_row(n)
-    assert fixed.order == n and fixed.bits == 64 + 2 * max(16, n.bit_length())
-    assert fixed.slack == (1 << fixed.bits) - sum(fixed.entries)
+    assert fixed.order == n and fixed.scale == 1 << (64 + 2 * max(16, n.bit_length()))
+    assert fixed.slack == fixed.scale - sum(fixed.entries)
     assert 0 <= fixed.slack < n * (n + 1) // 2
-    population, scale = double_factorial(n), 1 << fixed.bits
+    population, scale = double_factorial(n), fixed.scale
     exact = low = 0
     for count, entry in zip(triangle_row(n), fixed.entries):
         assert entry * population <= count * scale <= (entry + fixed.slack) * population
@@ -246,7 +246,7 @@ def _full_width_fixed_rows(bits, orders):
                 for i, j, a, b in zip(range(1, m + 1), range(d, m - 1, -1), row + [0], [0] + row)
             ]
         if m in orders:
-            yield triangle.FixedRow(m, bits, tuple(row), (1 << bits) - sum(row))
+            yield triangle.FixedRow(m, 1 << bits, tuple(row), (1 << bits) - sum(row))
 
 
 def test_banded_fixed_row_is_the_full_width_row(monkeypatch):
@@ -271,17 +271,17 @@ def test_fixed_row_extends_the_remembered_row_only_upwards_at_one_scale(monkeypa
     # the extension reads the remembered band: a made-up row 2 with all its
     # weight on entry 2 steps to (0, 2 * 2^96 // 5, 3 * 2^96 // 5)
     one = 1 << 96
-    made_up = triangle.FixedRow(2, 96, (0, one), 0)
+    made_up = triangle.FixedRow(2, one, (0, one), 0)
     stepped = (0, 2 * one // 5, 3 * one // 5)
     monkeypatch.setattr(triangle, "_last_fixed", made_up)
-    assert triangle.fixed_row(3) == (3, 96, stepped, one - sum(stepped))
+    assert triangle.fixed_row(3) == (3, one, stepped, one - sum(stepped))
     # an order below the remembered one starts from row 1
     monkeypatch.setattr(triangle, "_last_fixed", made_up._replace(order=4))
     assert triangle.fixed_row(3) == _cold_fixed_row(monkeypatch, 3)
     # so does a remembered row with another B
     monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 72)
     expected = _cold_fixed_row(monkeypatch, 3)
-    assert expected.bits == 104
+    assert expected.scale == 1 << 104
     monkeypatch.setattr(triangle, "_last_fixed", made_up)
     assert triangle.fixed_row(3) == expected
 
@@ -292,18 +292,63 @@ def test_fixed_row_of_the_order_serves_a_request_for_fewer_bits(monkeypatch):
     assert triangle.fixed_row(7) is wide  # 8 guard bits asked, 64 remembered
     monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 72)
     narrow = triangle.fixed_row(7)  # more bits than remembered: a new row
-    assert narrow.bits == wide.bits + 8 == _cold_fixed_row(monkeypatch, 7).bits
+    assert narrow.scale == wide.scale << 8 == _cold_fixed_row(monkeypatch, 7).scale
 
 
-def test_fixed_route_only_past_the_crossover(monkeypatch):
-    monkeypatch.setattr(triangle, "_last_row", (1,))
+def _first_enclosure(monkeypatch, last, n, extra_bits=0):
+    """The first row ``row_enclosures`` offers for order n when the last
+    exact row built is row ``last``."""
+    monkeypatch.setattr(triangle, "_last_row", triangle._extend((1,), last))
+    return next(triangle.row_enclosures(n, extra_bits))
+
+
+def test_enclosures_offer_the_fixed_row_only_past_the_crossover(monkeypatch):
     monkeypatch.setattr(triangle, "_FIXED_WORK", 29)
-    assert triangle.fixed_route(29) is None  # 29^3 - 1 = 29 * 29^2 - 1 units
-    assert triangle.fixed_route(30).order == 30  # 30^3 - 1 > 29 * 30^2
-    triangle_row(20)
-    assert triangle.fixed_route(30) is None  # 30^3 - 20^3 from row 20
-    triangle_row(40)
-    assert triangle.fixed_route(30).order == 30  # row 40 is past 30: from row 1
+    exact = triangle.FixedRow(29, double_factorial(29), triangle_row(29), 0)
+    assert _first_enclosure(monkeypatch, 1, 29) == exact  # 29^3 - 1 = 29 * 29^2 - 1 units
+    assert _first_enclosure(monkeypatch, 1, 30).scale == 1 << 96  # 30^3 - 1 > 29 * 30^2
+    assert _first_enclosure(monkeypatch, 20, 30).slack == 0  # 30^3 - 20^3 from row 20
+    assert _first_enclosure(monkeypatch, 40, 30).scale == 1 << 96  # 40 is past 30: from row 1
+    # the plot's extra bits take the fixed row whatever the cost
+    assert _first_enclosure(monkeypatch, 30, 30, 1074).scale == 1 << 1170
+
+
+def test_enclosures_end_with_the_exact_row_built_only_when_reached(monkeypatch):
+    monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
+    monkeypatch.setattr(triangle, "_last_row", (1,))
+    rows = triangle.row_enclosures(30)
+    assert next(rows) == triangle.fixed_row(30)
+    assert triangle._last_row == (1,)
+    assert next(rows) == (30, double_factorial(30), triangle._extend((1,), 30), 0)
+    assert next(rows, None) is None
+
+
+def test_argmax_rule_on_hand_built_rows():
+    row = triangle.FixedRow
+    # at slack 0 the rule gives the exact tie set
+    assert triangle._argmax(row(4, 18, (1, 8, 8, 1), 0)) == (2, 3)
+    # a runner-up within the slack, even at its edge, may be the peak
+    assert triangle._argmax(row(4, 64, (3, 28, 27, 4), 2)) is None
+    assert triangle._argmax(row(4, 64, (3, 29, 27, 3), 2)) is None
+    # one beaten by more than the slack certifies the top index
+    assert triangle._argmax(row(4, 64, (3, 30, 27, 2), 2)) == (2,)
+
+
+@pytest.mark.parametrize(
+    "fixed,argmax,exact_read",
+    [((3, 28, 28, 3), (2, 3), True), ((3, 30, 26, 3), (2,), False)],
+    ids=["runner-up-within-the-slack", "runner-up-beaten"],
+)
+def test_mode_reads_the_first_row_that_certifies_it(monkeypatch, fixed, argmax, exact_read):
+    # a made-up exact row 4 with a tie, (1, 8, 8, 1), behind made-up fixed
+    # rows of scale 64 and slack 2: a runner-up within the slack falls
+    # through to the exact row's tie set, a beaten one builds no exact row
+    reads = []
+    monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
+    monkeypatch.setattr(triangle, "fixed_row", lambda n, bits: triangle.FixedRow(n, 64, fixed, 2))
+    monkeypatch.setattr(triangle, "triangle_row", lambda n: reads.append(n) or (1, 8, 8, 1))
+    assert locate_mode(4).argmax_indices == argmax
+    assert reads == ([4] if exact_read else [])
 
 
 def test_csv_export_and_round_trip():
