@@ -29,7 +29,6 @@ from .permutations import (
     StirlingPermutation,
     brute_force_triangle,
     enumerate_words,
-    sample_uniform,
     word_statistics,
 )
 from .polynomial import IntPolynomial, double_factorial
@@ -48,7 +47,6 @@ from .triangle import (
     gessel_stanley_checks,
     locate_mode,
     triangle_row,
-    triangle_rows,
 )
 
 __version__ = "0.1.0"
@@ -82,10 +80,8 @@ __all__ = [
     "moments_exact",
     "plateau_probability",
     "sample_statistic_histogram",
-    "sample_uniform",
     "second_moments_by_recurrence",
     "sum_identity_check",
     "triangle_row",
-    "triangle_rows",
     "word_statistics",
 ]

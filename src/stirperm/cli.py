@@ -41,8 +41,8 @@ from .special import normal_pdf
 # Order caps, each measured cold at the cap on a 2-core, 7 GiB host; a
 # request above its cap exits 3 before any work.
 #: ``normality`` (exact distance or plots) and ``mode`` read rows of order
-#: n. The distance and the mode come from a banded fixed-point row where it
-#: is cheaper: ``normality --n 3000`` and ``mode --n 3000`` take 0.21-0.37 s
+#: n. The distance and the mode come from a banded fixed-point row above
+#: order 120: ``normality --n 3000`` and ``mode --n 3000`` take 0.21-0.37 s
 #: with 15.5-15.8 MiB peak RSS at 96-bit entries (0.20-0.33 s and
 #: 15.6-15.8 MiB at 88 bits, run alongside; 0.51-0.87 s at full width). The
 #: ``--plot-out`` pmf comes from one of 1170-bit entries, which serves the

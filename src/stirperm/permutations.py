@@ -88,11 +88,8 @@ class StatCounts(NamedTuple):
 
 
 class StirlingPermutation(NamedTuple):
-    """A validated word; construct through ``from_word`` at trust boundaries.
-
-    The plain constructor does not re-check the invariants (enumeration and
-    sampling build only valid words and run hot).
-    """
+    """A validated word; construct through ``from_word``, which checks the
+    invariants. The plain constructor does not check them."""
 
     order: int
     word: tuple[int, ...]
@@ -101,17 +98,6 @@ class StirlingPermutation(NamedTuple):
     def from_word(cls, order: int, word: Sequence[int]) -> "StirlingPermutation":
         validate_word(order, word)
         return cls(order, tuple(word))
-
-    def statistics(self) -> StatCounts:
-        return word_statistics(self.word)
-
-    def reverse(self) -> "StirlingPermutation":
-        # validity is preserved: the set of entries between the two copies
-        # of any value is unchanged by reversal
-        return StirlingPermutation(self.order, self.word[::-1])
-
-    def __str__(self) -> str:
-        return format_word(self.word)
 
 
 def validate_word(order: int, word: Sequence[int]) -> None:
@@ -228,11 +214,6 @@ def sample_word(n: int, rng: SplitMix64) -> tuple[int, ...]:
         gap = rng.below(2 * k - 1)
         word[gap:gap] = (k, k)
     return tuple(word)
-
-
-def sample_uniform(n: int, seed: int) -> StirlingPermutation:
-    """Uniform order-n permutation, bit-reproducible from the seed."""
-    return StirlingPermutation(n, sample_word(n, SplitMix64(seed)))
 
 
 @functools.cache

@@ -16,15 +16,15 @@ read from an enclosure of the normalized row p_n(i) = T(n, i)/(2n - 1)!!,
 a ``FixedRow`` of entries q and scale S: each entry and each prefix sum of
 S p_n lies in [Q, Q + slack], Q being the matching entry or prefix sum of
 q. The exact row is the enclosure with S = (2n - 1)!!, q = T(n, .) and
-slack 0. ``fixed_row`` gives one with S = 2^B, B = 64 + 2 max(16, bitlen(n)),
-96 at every order below 2^16, by the exact recurrence divided by the ratio
-of the row sums, with each division floored:
+slack 0. ``fixed_row`` gives one with S = 2^B, B = 96 at every order, by
+the exact recurrence divided by the ratio of the row sums, with each
+division floored:
     q_m(i) = floor((i q_(m-1)(i) + (2m - i) q_(m-1)(i-1)) / (2m - 1)).
 The weights are non-negative, so by induction each q_i is low by an error
 e_i >= 0, and the errors sum to the slack 2^B - sum q_i, exact at the end.
-``row_enclosures`` yields ``fixed_row(n)`` first where extending the exact
-rows to n would cost more than ``_FIXED_WORK`` n^2 units (the plot always
-asks for a row 1074 bits wider), then the exact row, built only if reached.
+``row_enclosures`` yields ``fixed_row(n)`` first above order
+``_EXACT_FIRST_ORDERS`` = 120 (the plot always asks for a row 1074 bits
+wider, at every order), then the exact row, built only if reached.
 Each result has one rule that certifies it from any enclosure or moves on:
 ``locate_mode`` takes the indices whose entry plus the slack reaches the
 top, certified when there is one or the slack is 0 (the exact tie set);
@@ -33,8 +33,9 @@ a float where both ends of its enclosure round alike. At slack 0 every rule
 certifies the exact row's result, so no result depends on the row it is
 read from. A request for the remembered fixed row's order and at most its B
 reads that row, whose enclosure holds whatever B is: the distance after a
-plot is certified from the plot's row. Ascending sweeps in steps of up to
-about 40 orders extend ``_last_row`` and read the exact row.
+plot is certified from the plot's row. The route depends on n alone, so an
+ascending sweep extends the exact rows up to order 120 and the fixed rows
+above it.
 
 An entry whose two parents are 0 floors to 0, so a zeroed tail stays zero:
 ``fixed_row`` runs the step on the nonzero band alone, one entry wider on
@@ -42,11 +43,11 @@ the right, trims zeros at both ends and pads the band to the full-width row,
 bit for bit. The band is about 21 sigma wide (239 of 1200 entries, 379 of
 3000), so the row costs about n^1.5, not n^2: 65 ms at order 1200 and 0.20 s
 at 3000, against 0.15 and 0.87 s at full width (2-core host). Since B is the
-same for every order below 2^16, a row is a function of n alone, and
-``fixed_row`` continues the remembered row's band when asked for a higher
-order at the same B; the result is the row a build from row 1 gives, bit
-for bit. So an ascending run of orders costs one walk to the highest:
-800 -> 1200 takes 20-32 ms, against 45-70 ms from row 1.
+same for every order, a row is a function of n alone, and ``fixed_row``
+continues the remembered row's band when asked for a higher order at the
+same B; the result is the row a build from row 1 gives, bit for bit. So an
+ascending run of orders costs one walk to the highest: 800 -> 1200 takes
+20-32 ms, against 45-70 ms from row 1.
 
 The text writers ``triangle_csv`` and ``triangle_json`` print the rows
 that ``decimal_rows`` builds: ``_extend`` run from (Decimal(1),) instead of
@@ -78,28 +79,20 @@ from .polynomial import IntPolynomial
 
 _last_row: tuple[int, ...] = (1,)
 
-#: ``row_enclosures`` offers the fixed-point row of order n before the exact
-#: row when the exact rows would take more than this many times n^2 units to
-#: extend.
-#: The banded row costs about n^1.5, so a threshold on the units alone would
-#: send short extensions at large n to the dearer route. Distance plus mode,
-#: exact / fixed, medians of 7 in process on a 2-core host:
-#: row 100 from 90 (27 n^2 units) 0.4 / 0.9 ms, from 1 (100 n^2) 2.0 / 1.5 ms;
-#: row 200 from 180 (54 n^2) 1.6 / 2.6 ms, from 100 (175 n^2) 6.9 / 4.0 ms;
-#: row 600 from 570 (86 n^2) 14 / 14 ms; row 1200 from 1180 (59 n^2) 40 /
-#: 41 ms, from 1150 (144 n^2) 105 / 51 ms, from 1100 (276 n^2) 179 / 65 ms.
-#: The routes tie at 60-90 n^2. The threshold sits just above that, so that
-#: a cold request up to order 120 still reads the exact row, which the
-#: bench's clt_exact workload traces at order 100; one-step ascending
-#: sweeps (3 n^2) stay exact by a wide margin.
-_FIXED_WORK = 120
-#: Bits of a fixed-point row beyond 2 max(16, bitlen(n)). Step m adds less
-#: than m to delta, so delta < n(n + 1)/2 < 2^(2 bitlen(n) - 1), and every
-#: enclosure is narrower than 2^-65; below order 2^16, where B = 96, it is
-#: narrower than 2^(2 bitlen(n) - 97), 2^-73 at order 3000. With 1074
-#: extra bits, B = 1170 below order 2^16, every enclosure is narrower than
-#: 2^-1139, below the least positive float.
-_FIXED_GUARD_BITS = 64
+#: ``row_enclosures`` offers the exact row first up to this order, and the
+#: fixed-point row first above it. Cold at order 100 the two routes cost
+#: about the same (distance plus mode: 2.0 ms exact, 1.5 ms fixed, in process
+#: on a 2-core host). The bench's clt_exact workload needs order 100's exact
+#: row: its coverage guard counts calls of ``triangle_row``, not yet of
+#: ``fixed_row``. Once it counts both, this order can fall to the cold tie.
+_EXACT_FIRST_ORDERS = 120
+#: Bits B of a fixed-point row. Step m adds less than m to the slack, so it
+#: is below n(n + 1)/2, and every enclosure is narrower than 2^-65 below
+#: order 2^16, 2^-73 at order 3000. With the plot's 1074 extra bits, B =
+#: 1170, every enclosure below order 2^16 is narrower than 2^-1139, below
+#: the least positive float. Above 2^16 the enclosures stay true bounds: a
+#: wider slack can only leave a result uncertified.
+_FIXED_BITS = 96
 
 
 class FixedRow(NamedTuple):
@@ -140,15 +133,15 @@ def _extend(row: tuple, n: int) -> tuple:
 
 def fixed_row(n: int, extra_bits: int = 0) -> FixedRow:
     """Row n of the normalized triangle in fixed point, with
-    B = ``_FIXED_GUARD_BITS`` + ``extra_bits`` + 2 max(16, bitlen(n)) bits,
-    built on its nonzero band (see the module docstring). The last row
-    returned is remembered. A request at its order for at most its B returns
-    it, a later order with the same B continues from its band, and any other
-    request starts from row 1."""
+    B = ``_FIXED_BITS`` + ``extra_bits`` bits, built on its nonzero band
+    (see the module docstring). The last row returned is remembered. A
+    request at its order for at most its B returns it, a later order with
+    the same B continues from its band, and any other request starts from
+    row 1."""
     global _last_fixed
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    scale = 1 << (_FIXED_GUARD_BITS + extra_bits + 2 * max(16, n.bit_length()))
+    scale = 1 << (_FIXED_BITS + extra_bits)
     last = _last_fixed
     if last is not None and last.order == n and last.scale >= scale:
         return last
@@ -181,20 +174,12 @@ def fixed_row(n: int, extra_bits: int = 0) -> FixedRow:
 def row_enclosures(n: int, extra_bits: int = 0) -> Iterator[FixedRow]:
     """The enclosures of row n that a result tries in turn (see the module
     docstring): ``fixed_row(n, extra_bits)`` when extra bits are asked for or
-    extending the exact rows to n would cost more than ``_FIXED_WORK`` n^2
-    units, then the exact row, built only if it is reached."""
-    start = len(_last_row) if len(_last_row) <= n else 1
-    if extra_bits or n**3 - start**3 > _FIXED_WORK * n**2:
+    n is above ``_EXACT_FIRST_ORDERS``, then the exact row, built only if it
+    is reached."""
+    if extra_bits or n > _EXACT_FIRST_ORDERS:
         yield fixed_row(n, extra_bits)
     row = triangle_row(n)
     yield FixedRow(n, sum(row), row, 0)
-
-
-def triangle_rows(n_max: int) -> list[tuple[int, ...]]:
-    """Rows 1..n_max, in a new list."""
-    if n_max < 1:
-        raise ValueError(f"order must be >= 1, got {n_max}")
-    return [triangle_row(n) for n in range(1, n_max + 1)]
 
 
 def descent_polynomial(n: int) -> IntPolynomial:

@@ -327,24 +327,23 @@ def test_normality_plot_reads_no_exact_row(tmp_path, capsys, monkeypatch, n):
     def refuse(n):
         raise AssertionError(f"exact row {n} built for the plot or the distance")
 
-    monkeypatch.setattr(cli.triangle, "_last_row", (1,))
     monkeypatch.setattr(cli.triangle, "triangle_row", refuse)
     assert _plot_digests(tmp_path, capsys, n) == _PLOT_DIGESTS[n]
 
 
 def test_uncertified_plot_falls_back_to_one_exact_row(tmp_path, capsys, monkeypatch):
-    # a slack of 2^(B - 64), still a true bound, leaves the tails' floats
-    # uncertified, so the whole plot comes from the exact row; the distance
-    # reads that row too, so it is built once
+    # a slack of 2^(B - 32), still a true bound, leaves the plot's floats
+    # and the distance uncertified, so the whole plot comes from the exact
+    # row; the distance first re-reads the remembered 1170-bit row, then
+    # that exact row too, so it is built once
     from stirperm import cli, triangle
 
     real_fixed, real_extend = triangle.fixed_row, triangle._extend
     wide, extended = [], []
 
     def widened(n, extra_bits=0):
-        row = real_fixed(n, extra_bits)
-        wide.append(row._replace(slack=row.scale >> 64))
-        return wide[-1]
+        wide.append(real_fixed(n, extra_bits))
+        return wide[-1]._replace(slack=wide[-1].scale >> 32)
 
     def extend(row, n):
         extended.append((len(row), n))
@@ -354,8 +353,10 @@ def test_uncertified_plot_falls_back_to_one_exact_row(tmp_path, capsys, monkeypa
     monkeypatch.setattr(triangle, "_extend", extend)
     monkeypatch.setattr(triangle, "fixed_row", widened)
     assert _plot_digests(tmp_path, capsys, 400) == _PLOT_DIGESTS[400]
-    (row,) = wide
-    assert any(q / row.scale != (q + row.slack) / row.scale for q in row.entries)
+    row, again = wide  # the plot's read and the distance's: one row
+    assert again is row and (row.order, row.scale) == (400, 1 << 1170)
+    slack = row.scale >> 32
+    assert any(q / row.scale != (q + slack) / row.scale for q in row.entries)
     assert extended == [(1, 400), (400, 400)]  # the distance's call takes no step
 
 

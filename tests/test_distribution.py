@@ -225,7 +225,7 @@ def _refuse_fixed_row(n):
 
 
 def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
-    monkeypatch.setattr(triangle, "_FIXED_WORK", 10**30)
+    monkeypatch.setattr(triangle, "_EXACT_FIRST_ORDERS", 10**30)
     expected = {
         n: (_ks_fraction_reference(n).hex(), locate_mode(n)) for n in range(2, 401)
     }
@@ -234,7 +234,7 @@ def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
         predicted = (int(mean),) if mean.denominator == 1 else (int(mean), int(mean) + 1)
         expected[n] = ks_hex, ModeReport(n, mean, argmax, predicted)
     # every order takes the fixed-point route, and a fallback fails
-    monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
+    monkeypatch.setattr(triangle, "_EXACT_FIRST_ORDERS", 0)
     monkeypatch.setattr(triangle, "triangle_row", _refuse_exact_row)
     for n, (ks_hex, mode) in expected.items():
         assert (ks_distance_exact(n).hex(), locate_mode(n)) == (ks_hex, mode), n
@@ -243,21 +243,38 @@ def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
 def test_exact_route_gives_the_frozen_values(monkeypatch):
     # the rows behind every fallback, at the orders that now take the fixed
     # route by default
-    monkeypatch.setattr(triangle, "_FIXED_WORK", 10**30)
+    monkeypatch.setattr(triangle, "_EXACT_FIRST_ORDERS", 10**30)
     monkeypatch.setattr(triangle, "fixed_row", _refuse_fixed_row)
     for n, (ks_hex, argmax) in _EXACT_ROUTE.items():
         assert ks_distance_exact(n).hex() == ks_hex, n
         assert locate_mode(n).argmax_indices == argmax, n
 
 
+def test_ascending_sweep_past_order_120_builds_no_exact_row(monkeypatch):
+    # after a sweep to 120 on the exact rows, each order above 120 reads the
+    # fixed row, extended from the one before, and gives the exact row's values
+    expected = {}
+    for n in range(121, 401):
+        row = triangle.triangle_row(n)
+        exact = triangle.FixedRow(n, sum(row), row, 0)
+        support = distribution._standardized_support(n)
+        distance = distribution._sup_distance(row, exact.scale, support, 0)
+        expected[n] = distance.hex(), triangle._argmax(exact)
+    for n in range(2, 121):
+        ks_distance_exact(n), locate_mode(n)
+    monkeypatch.setattr(triangle, "triangle_row", _refuse_exact_row)
+    for n in range(121, 401):
+        assert (ks_distance_exact(n).hex(), locate_mode(n).argmax_indices) == expected[n], n
+
+
 def test_uncertified_fixed_row_falls_back_to_the_exact_row(monkeypatch):
     # with B = 2 bitlen(n) the slack swamps both the CDF and the peak
     n = 300
     bits = 2 * n.bit_length()
-    monkeypatch.setattr(triangle, "_FIXED_WORK", 10**30)
+    monkeypatch.setattr(triangle, "_EXACT_FIRST_ORDERS", 10**30)
     expected = (ks_distance_exact(n).hex(), locate_mode(n))
-    monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
-    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", bits - 2 * max(16, n.bit_length()))
+    monkeypatch.setattr(triangle, "_EXACT_FIRST_ORDERS", 0)
+    monkeypatch.setattr(triangle, "_FIXED_BITS", bits)
     monkeypatch.setattr(triangle, "_last_fixed", None)  # a row of the full width
     fixed = triangle.fixed_row(n)
     assert fixed.scale == 1 << bits
@@ -288,7 +305,6 @@ def test_distance_after_the_plot_reads_the_plots_row(monkeypatch):
     # as normality --plot-out asks: the 1170-bit row of the pmf certifies the
     # distance too, and the value is the cold 96-bit row's, bit for bit
     n = 400
-    monkeypatch.setattr(triangle, "_last_row", (1,))
     monkeypatch.setattr(triangle, "_last_fixed", None)
     cold = ks_distance_exact(n)
     assert triangle._last_fixed.scale == 1 << 96

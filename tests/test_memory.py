@@ -46,12 +46,12 @@ def _peak_mib(work: str) -> float:
 
 def test_exact_distance_and_mode_at_order_1200_stay_small():
     # holding every row up to 1200 took 674 MiB; two rows take a few MiB.
-    # The exact row is built first, as a plot that falls back to it does,
-    # so both calls read it rather than a fixed-point row
+    # The exact route is forced, as a fallback from an uncertified fixed
+    # row would take it, so both calls read the exact row
     peak, children = _peaks_mib(
         "from stirperm import triangle\n"
         "from stirperm.distribution import ks_distance_exact\n"
-        "triangle.triangle_row(1200)\n"
+        "triangle._EXACT_FIRST_ORDERS = 1200\n"
         "ks_distance_exact(1200)\n"
         "triangle.locate_mode(1200)\n"
         "assert triangle._last_fixed is None, 'a fixed-point row was built'\n"

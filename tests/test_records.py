@@ -7,7 +7,7 @@ import pytest
 
 from stirperm.cli import main
 from stirperm.distribution import moments_exact, plateau_probability
-from stirperm.permutations import sample_uniform, word_statistics
+from stirperm.permutations import StirlingPermutation, word_statistics
 from stirperm.sturm import GapWitness, certify_real_roots, interlace_certificate
 from stirperm.triangle import locate_mode
 from stirperm.verify import CheckResult
@@ -16,7 +16,7 @@ RECORDS = {
     "Moments": lambda: moments_exact(4),
     "PlateauIndicator": lambda: plateau_probability(4, 2),
     "StatCounts": lambda: word_statistics((1, 1, 2, 2)),
-    "StirlingPermutation": lambda: sample_uniform(4, 0),
+    "StirlingPermutation": lambda: StirlingPermutation.from_word(4, (3, 3, 4, 4, 1, 2, 2, 1)),
     "RealRootCertificate": lambda: certify_real_roots(4),
     "GapWitness": lambda: interlace_certificate(4).witnesses[0],
     "InterlaceCertificate": lambda: interlace_certificate(4),

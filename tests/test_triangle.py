@@ -18,7 +18,6 @@ from stirperm.triangle import (
     triangle_csv,
     triangle_json,
     triangle_row,
-    triangle_rows,
 )
 from stirperm.verify import _derivative_polynomials, run_suite
 
@@ -46,7 +45,7 @@ def test_first_rows():
 
 
 def test_rows_list_shape():
-    rows = triangle_rows(6)
+    rows = [triangle_row(n) for n in range(1, 7)]
     assert len(rows) == 6
     assert [len(r) for r in rows] == [1, 2, 3, 4, 5, 6]
     assert all(c > 0 for r in rows for c in r)
@@ -65,7 +64,7 @@ def test_rows_list_shape():
 )
 def test_rows_independent_of_call_order(orders):
     expected = [p.coefficients[1:] for p in _derivative_polynomials(max(40, *orders))]
-    assert triangle_rows(40) == expected[:40]
+    assert [triangle_row(n) for n in range(1, 41)] == expected[:40]
     for n in orders:
         assert triangle_row(n) == expected[n - 1]
         assert descent_polynomial(n).coefficients[1:] == expected[n - 1]
@@ -221,7 +220,7 @@ def test_fixed_row_encloses_the_normalized_exact_row(monkeypatch, n):
     # at least 0 and at most the slack; the slack gains less than m at step m
     monkeypatch.setattr(triangle, "_last_fixed", None)  # no wider row of order n
     fixed = triangle.fixed_row(n)
-    assert fixed.order == n and fixed.scale == 1 << (64 + 2 * max(16, n.bit_length()))
+    assert fixed.order == n and fixed.scale == 1 << 96
     assert fixed.slack == fixed.scale - sum(fixed.entries)
     assert 0 <= fixed.slack < n * (n + 1) // 2
     population, scale = double_factorial(n), fixed.scale
@@ -279,7 +278,7 @@ def test_fixed_row_extends_the_remembered_row_only_upwards_at_one_scale(monkeypa
     monkeypatch.setattr(triangle, "_last_fixed", made_up._replace(order=4))
     assert triangle.fixed_row(3) == _cold_fixed_row(monkeypatch, 3)
     # so does a remembered row with another B
-    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 72)
+    monkeypatch.setattr(triangle, "_FIXED_BITS", 104)
     expected = _cold_fixed_row(monkeypatch, 3)
     assert expected.scale == 1 << 104
     monkeypatch.setattr(triangle, "_last_fixed", made_up)
@@ -288,9 +287,9 @@ def test_fixed_row_extends_the_remembered_row_only_upwards_at_one_scale(monkeypa
 
 def test_fixed_row_of_the_order_serves_a_request_for_fewer_bits(monkeypatch):
     wide = _cold_fixed_row(monkeypatch, 7)
-    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 8)
-    assert triangle.fixed_row(7) is wide  # 8 guard bits asked, 64 remembered
-    monkeypatch.setattr(triangle, "_FIXED_GUARD_BITS", 72)
+    monkeypatch.setattr(triangle, "_FIXED_BITS", 40)
+    assert triangle.fixed_row(7) is wide  # 40 bits asked, 96 remembered
+    monkeypatch.setattr(triangle, "_FIXED_BITS", 104)
     narrow = triangle.fixed_row(7)  # more bits than remembered: a new row
     assert narrow.scale == wide.scale << 8 == _cold_fixed_row(monkeypatch, 7).scale
 
@@ -303,18 +302,21 @@ def _first_enclosure(monkeypatch, last, n, extra_bits=0):
 
 
 def test_enclosures_offer_the_fixed_row_only_past_the_crossover(monkeypatch):
-    monkeypatch.setattr(triangle, "_FIXED_WORK", 29)
-    exact = triangle.FixedRow(29, double_factorial(29), triangle_row(29), 0)
-    assert _first_enclosure(monkeypatch, 1, 29) == exact  # 29^3 - 1 = 29 * 29^2 - 1 units
-    assert _first_enclosure(monkeypatch, 1, 30).scale == 1 << 96  # 30^3 - 1 > 29 * 30^2
-    assert _first_enclosure(monkeypatch, 20, 30).slack == 0  # 30^3 - 20^3 from row 20
-    assert _first_enclosure(monkeypatch, 40, 30).scale == 1 << 96  # 40 is past 30: from row 1
-    # the plot's extra bits take the fixed row whatever the cost
-    assert _first_enclosure(monkeypatch, 30, 30, 1074).scale == 1 << 1170
+    # the order alone decides, wherever the last exact row stands: the exact
+    # row first up to order 120, the 96-bit row above it, and the plot's
+    # 1170-bit row at every order
+    exact = triangle.FixedRow(120, double_factorial(120), triangle_row(120), 0)
+    for last in (1, 119, 120):
+        assert _first_enclosure(monkeypatch, last, 120) == exact, last
+    for last in (1, 120, 121):
+        assert _first_enclosure(monkeypatch, last, 121).scale == 1 << 96, last
+    for n in (120, 121):
+        for last in (1, n - 1, n):
+            assert _first_enclosure(monkeypatch, last, n, 1074).scale == 1 << 1170, (n, last)
 
 
 def test_enclosures_end_with_the_exact_row_built_only_when_reached(monkeypatch):
-    monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
+    monkeypatch.setattr(triangle, "_EXACT_FIRST_ORDERS", 0)
     monkeypatch.setattr(triangle, "_last_row", (1,))
     rows = triangle.row_enclosures(30)
     assert next(rows) == triangle.fixed_row(30)
@@ -344,7 +346,7 @@ def test_mode_reads_the_first_row_that_certifies_it(monkeypatch, fixed, argmax, 
     # rows of scale 64 and slack 2: a runner-up within the slack falls
     # through to the exact row's tie set, a beaten one builds no exact row
     reads = []
-    monkeypatch.setattr(triangle, "_FIXED_WORK", -1)
+    monkeypatch.setattr(triangle, "_EXACT_FIRST_ORDERS", 0)
     monkeypatch.setattr(triangle, "fixed_row", lambda n, bits: triangle.FixedRow(n, 64, fixed, 2))
     monkeypatch.setattr(triangle, "triangle_row", lambda n: reads.append(n) or (1, 8, 8, 1))
     assert locate_mode(4).argmax_indices == argmax
@@ -363,16 +365,16 @@ def test_csv_export_and_round_trip():
 def test_json_export_and_round_trip():
     text = "".join(triangle_json(4))
     rows = [tuple(row) for row in json.loads(text)]
-    assert rows == list(triangle_rows(4))
+    assert rows == [triangle_row(n) for n in range(1, 5)]
     assert "".join(triangle_json(4)) == text
     # the streamed text is what one json.dumps of the whole list gives
-    rows = triangle_rows(30)
+    rows = [triangle_row(n) for n in range(1, 31)]
     expected = json.dumps([list(r) for r in rows], separators=(",", ":")) + "\n"
     assert "".join(triangle_json(30)) == expected
 
 
 def test_writers_print_the_int_rows_text():
-    rows = triangle_rows(120)
+    rows = [triangle_row(n) for n in range(1, 121)]
     for n in range(1, 121):
         csv = "n,i,count\n" + "".join(
             f"{m},{i},{c}\n" for m, row in enumerate(rows[:n], start=1)
