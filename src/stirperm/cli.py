@@ -2,7 +2,8 @@
 
 Commands: triangle, poly, roots, moments, normality, mode, sample, verify.
 Exit codes: 0 ok, 1 verification or certification failure, 2 usage error
-(an unwritable output path included), 3 resource refusal. A reader that
+(an unwritable output path, or an order above 10^307, whose decimal fields
+would overflow a float, included), 3 resource refusal. A reader that
 closes stdout early, as ``| head`` does, ends the command silently with
 exit 0. Every command is deterministic given its full flag set; sampling
 commands require an explicit --seed (there is no ambient randomness
@@ -40,8 +41,8 @@ from .special import normal_pdf
 
 # Order caps, each measured cold at the cap on a 2-core, 7 GiB host; a
 # request above its cap exits 3 before any work.
-#: ``normality`` (exact distance or plots) and ``mode`` read rows of order
-#: n. The distance and the mode come from a banded fixed-point row above
+#: ``normality`` (exact distance or ``--plot-out``) and ``mode`` read rows of
+#: order n. The distance and the mode come from a banded fixed-point row above
 #: order 120: ``normality --n 3000`` and ``mode --n 3000`` take 0.21-0.37 s
 #: with 15.5-15.8 MiB peak RSS at 96-bit entries (0.20-0.33 s and
 #: 15.6-15.8 MiB at 88 bits, run alongside; 0.51-0.87 s at full width). The
@@ -85,6 +86,10 @@ SAMPLE_ORDER_CAP = 200_000
 #: digits is Python's default limit for printing an int.
 _PRINTABLE_BITS = 14284
 
+#: The decimal fields of ``moments`` and ``normality`` are floats, at most
+#: 1.8e308: the ``--plot-normal-out`` range ends near -2 sqrt(n), reached
+#: through 4n, which passes that from n = 4.5e307, and the mean from 2.7e308.
+_FLOAT_ORDER_CAP = 10**307
 _ORACLE_ORDER_CAP = 8
 _SAMPLE_CHUNK_LINES = 4096
 #: ``verify.SUITE_NAMES``, spelled out so that no other command imports verify
@@ -335,6 +340,8 @@ _MOMENT_COLUMNS = ("n", "mean", "variance", "s_n")
 
 
 def _moments_payload(n: int) -> dict:
+    if n > _FLOAT_ORDER_CAP:
+        raise UsageError("orders above 10^307 would overflow a float in the decimal fields")
     m = distribution.moments_exact(n)
     return {
         "n": n,
@@ -357,10 +364,10 @@ def _cmd_normality(args) -> int:
         raise UsageError("normality needs --n >= 2 (order 1 is degenerate)")
     if args.samples is not None and args.seed is None:
         raise UsageError("--samples requires --seed (no ambient randomness)")
-    if args.no_exact and args.samples is None:
-        raise UsageError("--no-exact without --samples leaves nothing to do")
-    if not args.no_exact or args.plot_out or args.plot_normal_out:
-        _refuse_above(args.n, EXACT_DISTANCE_ORDER_CAP, "exact distance or plot")
+    if args.no_exact and args.samples is None and not (args.plot_out or args.plot_normal_out):
+        raise UsageError("--no-exact without --samples or a plot file leaves nothing to do")
+    if not args.no_exact or args.plot_out:
+        _refuse_above(args.n, EXACT_DISTANCE_ORDER_CAP, "exact distance or --plot-out")
     if args.samples is not None:
         _refuse_above(args.n, SAMPLING_ORDER_CAP, "Monte-Carlo distance")
     payload = _moments_payload(args.n)

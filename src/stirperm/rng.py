@@ -9,11 +9,12 @@ object is bit-reproducible from its integer seed, on any platform, forever.
 Output k of a seed depends on nothing but seed + k*GAMMA, so scalar draws are
 mixed ahead of use: a generator keeps a short list of outputs and refills it
 by mixing consecutive states as the 128-bit lanes of one int, with the same
-``_mix`` as the lane kernel below. A refill takes 8 outputs, then twice as
-many as the last one, up to 256, so a fresh generator that draws one order-9
-word mixes only the 8 outputs it uses. ``state`` is the state after the
-draws handed out so far, seed + (draws taken)*GAMMA whatever is buffered, and
-assigning it drops the buffer.
+``_mix`` as the lane kernel below. Every refill mixes 256 outputs. A fresh
+generator that draws one order-9 word mixes 248 it never uses, so it takes
+28-38 us where mixing only its 8 took 6-9 us (Python 3.11, a 2-core host);
+a generator that draws for long pays nothing for it. ``state`` is the state
+after the draws handed out so far, seed + (draws taken)*GAMMA whatever is
+buffered, and assigning it drops the buffer.
 
 ``below_lanes`` draws the same W bounds for many samples at once, a step at
 a time. Sample s of a chunk of up to ``LANES`` samples takes draws s*W + k,
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cache
 
 MASK64 = (1 << 64) - 1
 LANES = 2048  # samples per chunk, one 128-bit lane each
@@ -48,11 +50,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-# refill sizes, measured: 8 is one order-9 word; past 128 outputs a refill
-# costs no less per output (123 ns at 128 and 256, 117 ns at 1024)
-_FIRST_REFILL = 8
-_MAX_REFILL = 256
-_REFILLS: dict[int, tuple] = {}  # refill size -> (ones, mask, state offsets, unpack)
+# outputs per refill, measured: past 128 a refill costs no less per output
+# (123 ns at 128 and 256, 117 ns at 1024)
+_REFILL = 256
 
 
 def _mix(z: int, mask: int) -> int:
@@ -63,13 +63,14 @@ def _mix(z: int, mask: int) -> int:
     return z ^ ((z >> 31) & mask)
 
 
-def _refill_table(size: int) -> tuple:
-    """Lane s of ``offsets`` is (size - s)*GAMMA: the last output of a refill
-    is mixed in the lowest lane and unpacked first."""
-    ones = _pack([1] * size)
-    offsets = _pack((i * _GAMMA) & MASK64 for i in range(size, 0, -1))
-    _REFILLS[size] = ones, ones * MASK64, offsets, struct.Struct("<" + "Q8x" * size).unpack
-    return _REFILLS[size]
+@cache
+def _refill_table() -> tuple:
+    """(ones, mask, state offsets, unpack) of a refill, built on first use.
+    Lane s of the offsets is (_REFILL - s)*GAMMA: the last output of a
+    refill is mixed in the lowest lane and unpacked first."""
+    ones = _pack([1] * _REFILL)
+    offsets = _pack((i * _GAMMA) & MASK64 for i in range(_REFILL, 0, -1))
+    return ones, ones * MASK64, offsets, struct.Struct("<" + "Q8x" * _REFILL).unpack
 
 
 def _pack(values) -> int:
@@ -107,7 +108,7 @@ class SplitMix64:
     ahead but not yet drawn do not count, and assigning ``state`` drops
     them."""
 
-    __slots__ = ("_end", "_buffer", "_size")
+    __slots__ = ("_end", "_buffer")
 
     def __init__(self, seed: int):
         self._buffer: list[int] = []
@@ -121,18 +122,15 @@ class SplitMix64:
     def state(self, value: int) -> None:
         self._end = value & MASK64  # the state after the last buffered output
         self._buffer.clear()
-        self._size = _FIRST_REFILL
 
     def _refill(self) -> None:
-        """Mix the next ``_size`` outputs into the buffer, last one first, so
-        that ``pop`` hands them out in order; then double ``_size``."""
-        size = self._size
-        ones, mask, offsets, unpack = _REFILLS.get(size) or _refill_table(size)
+        """Mix the next ``_REFILL`` outputs into the buffer, last one first,
+        so that ``pop`` hands them out in order."""
+        ones, mask, offsets, unpack = _refill_table()
         end = self._end
         outputs = _mix((end * ones + offsets) & mask, mask)
-        self._buffer += unpack(outputs.to_bytes(16 * size, "little"))
-        self._end = (end + size * _GAMMA) & MASK64
-        self._size = min(2 * size, _MAX_REFILL)
+        self._buffer += unpack(outputs.to_bytes(16 * _REFILL, "little"))
+        self._end = (end + _REFILL * _GAMMA) & MASK64
 
     def next_uint64(self) -> int:
         buffer = self._buffer

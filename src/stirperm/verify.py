@@ -32,7 +32,6 @@ GOLDEN_KS_EXACT = {
     200: 0.04319155495774113,
 }
 
-SAMPLER_SEEDS = (1, 2, 3)
 SAMPLER_SIGNIFICANCE = 1e-3
 #: The first outputs of the published reference implementation, splitmix64.c,
 #: by seed. The scalar and lane draws share one mixing routine, so these are
@@ -42,42 +41,18 @@ SPLITMIX64_VECTORS = {
     0: (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F),
 }
 
-_FULL = {
-    "triangle_rows": 200,
-    "oracle_orders": 7,
-    "polynomial_orders": 200,
-    "wilf_orders": 120,
-    "mode_orders": 200,
-    "certify_orders": 130,
-    "interlace_orders": 130,
-    "moment_orders": 1000,
-    "brute_moment_orders": 7,
-    "indicator_orders": 6,
-    "sum_identity_orders": 500,
-    "plateau_oracle_orders": 7,
-    "sampler_samples": 150_000,
-    "sampler_seeds": SAMPLER_SEEDS,
-    "clt_orders": (10, 20, 50, 100, 200),
-    "check_golden": True,
-}
-
-_QUICK = {
-    "triangle_rows": 60,
-    "oracle_orders": 6,
-    "polynomial_orders": 60,
-    "wilf_orders": 16,
-    "mode_orders": 60,
-    "certify_orders": 12,
-    "interlace_orders": 8,
-    "moment_orders": 200,
-    "brute_moment_orders": 6,
-    "indicator_orders": 4,
-    "sum_identity_orders": 100,
-    "plateau_oracle_orders": 6,
-    "sampler_samples": 20_000,
-    "sampler_seeds": (1,),
-    "clt_orders": (10, 20, 50),
-    "check_golden": False,
+#: Each range as (full, quick): ``quick`` reads the second value.
+_RANGES = {
+    "row_orders": (200, 60),
+    "enumeration_orders": (7, 6),
+    "wilf_orders": (120, 16),
+    "certify_orders": (130, 12),
+    "moment_orders": (1000, 200),
+    "indicator_orders": (6, 4),
+    "sum_identity_orders": (500, 100),
+    "sampler_samples": (150_000, 20_000),
+    "sampler_seeds": ((1, 2, 3), (1,)),
+    "clt_orders": ((10, 20, 50, 100, 200), (10, 20, 50)),
 }
 
 
@@ -112,10 +87,10 @@ def _derivative_polynomials(n_max: int):
 def _suite_triangle(p) -> list[CheckResult]:
     sums = [
         (n, sum(triangle.triangle_row(n)) == double_factorial(n))
-        for n in range(1, p["triangle_rows"] + 1)
+        for n in range(1, p["row_orders"] + 1)
     ]
     oracle = []
-    for n in range(1, p["oracle_orders"] + 1):
+    for n in range(1, p["enumeration_orders"] + 1):
         row = triangle.triangle_row(n)
         for stat in STAT_LABELS:
             oracle.append(
@@ -123,7 +98,7 @@ def _suite_triangle(p) -> list[CheckResult]:
             )
     agree = []
     means = []
-    oracle_polys = _derivative_polynomials(p["polynomial_orders"])
+    oracle_polys = _derivative_polynomials(p["row_orders"])
     for n, oracle_poly in enumerate(oracle_polys, start=1):
         poly = triangle.descent_polynomial(n)
         agree.append((f"n={n}", poly == oracle_poly))
@@ -139,7 +114,7 @@ def _suite_triangle(p) -> list[CheckResult]:
         for n, ok in triangle.gessel_stanley_checks(range(1, p["wilf_orders"] + 1))
     ]
     modes = []
-    for n in range(1, p["mode_orders"] + 1):
+    for n in range(1, p["row_orders"] + 1):
         report = triangle.locate_mode(n)
         modes.append(
             (
@@ -148,16 +123,16 @@ def _suite_triangle(p) -> list[CheckResult]:
             )
         )
     return [
-        _check("triangle", f"row sums equal (2n-1)!! for n <= {p['triangle_rows']}", sums),
+        _check("triangle", f"row sums equal (2n-1)!! for n <= {p['row_orders']}", sums),
         _check(
             "triangle",
             "recurrence row = enumeration counts for descents/plateaux/"
-            f"ascents, n <= {p['oracle_orders']}",
+            f"ascents, n <= {p['enumeration_orders']}",
             oracle,
         ),
         _check(
             "triangle",
-            f"polynomial route matches triangle route, n <= {p['polynomial_orders']}",
+            f"polynomial route matches triangle route, n <= {p['row_orders']}",
             agree,
         ),
         _check("triangle", "mean statistic value equals (2n+1)/3 exactly", means),
@@ -169,7 +144,7 @@ def _suite_triangle(p) -> list[CheckResult]:
         ),
         _check(
             "triangle",
-            f"peaks within 1 of mean and matching two-case pattern, n <= {p['mode_orders']}",
+            f"peaks within 1 of mean and matching two-case pattern, n <= {p['row_orders']}",
             modes,
         ),
     ]
@@ -198,7 +173,7 @@ def _suite_realroots(p) -> list[CheckResult]:
 
 def _suite_interlace(p) -> list[CheckResult]:
     results = []
-    for n in range(2, p["interlace_orders"] + 1):
+    for n in range(2, p["certify_orders"] + 1):
         try:
             cert = sturm.interlace_certificate(n)
         except sturm.CertificationError as exc:
@@ -208,7 +183,7 @@ def _suite_interlace(p) -> list[CheckResult]:
     return [
         _check(
             "interlace",
-            f"consecutive reduced polynomials strictly interlace, n <= {p['interlace_orders']}",
+            f"consecutive reduced polynomials strictly interlace, n <= {p['certify_orders']}",
             results,
         )
     ]
@@ -229,7 +204,7 @@ def _suite_moments(p) -> list[CheckResult]:
             )
         )
     brute = []
-    for n in range(1, p["brute_moment_orders"] + 1):
+    for n in range(1, p["enumeration_orders"] + 1):
         mean, second = distribution.brute_force_moments(n)
         m = distribution.moments_exact(n)
         brute.append(
@@ -253,7 +228,7 @@ def _suite_moments(p) -> list[CheckResult]:
         _check("moments", "variance closed form consistent", variances),
         _check(
             "moments",
-            f"brute-force mean/second moment match, n <= {p['brute_moment_orders']}",
+            f"brute-force mean/second moment match, n <= {p['enumeration_orders']}",
             brute,
         ),
         _check(
@@ -274,7 +249,7 @@ def _suite_identities(p) -> list[CheckResult]:
         for n in range(1, p["sum_identity_orders"] + 1)
     ]
     oracle = []
-    for n in range(1, p["plateau_oracle_orders"] + 1):
+    for n in range(1, p["enumeration_orders"] + 1):
         singles, _ = distribution.indicator_expectations(n)
         for value in range(1, n + 1):
             oracle.append(
@@ -297,7 +272,7 @@ def _suite_identities(p) -> list[CheckResult]:
         ),
         _check(
             "identities",
-            f"product formula matches enumerated adjacency, n <= {p['plateau_oracle_orders']}",
+            f"product formula matches enumerated adjacency, n <= {p['enumeration_orders']}",
             oracle,
         ),
     ]
@@ -385,15 +360,14 @@ def _suite_clt(p) -> list[CheckResult]:
             " ".join(f"D({n})={d:.6g}" for n, d in distances),
         )
     )
-    if p["check_golden"]:
-        golden = [
-            (f"n={n}", abs(d - GOLDEN_KS_EXACT[n]) < 1e-9)
-            for n, d in distances
-            if n in GOLDEN_KS_EXACT
-        ]
-        out.append(
-            _check("clt", "exact distances match frozen golden values to 1e-9", golden)
-        )
+    golden = [
+        (f"n={n}", abs(d - GOLDEN_KS_EXACT[n]) < 1e-9)
+        for n, d in distances
+        if n in GOLDEN_KS_EXACT
+    ]
+    out.append(
+        _check("clt", "exact distances match frozen golden values to 1e-9", golden)
+    )
     return out
 
 
@@ -413,7 +387,7 @@ SUITE_NAMES = ("all",) + tuple(_SUITES)
 def run_suite(name: str, quick: bool = False) -> list[CheckResult]:
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    params = _QUICK if quick else _FULL
+    params = {key: ranges[quick] for key, ranges in _RANGES.items()}
     suites = _SUITES.values() if name == "all" else (_SUITES[name],)
     results: list[CheckResult] = []
     for suite in suites:

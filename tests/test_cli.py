@@ -375,6 +375,49 @@ def test_normal_density_plot_builds_no_row(tmp_path, capsys, monkeypatch):
     assert _sha256_of(plot) == "1d60c705076a49b51859b0cb2dded82be47c137393a0ff7d6f6a9a82294f0fc9"
 
 
+def test_normal_density_plot_is_not_capped_by_the_row_orders(tmp_path, capsys, monkeypatch):
+    from stirperm import cli
+
+    for name in ("triangle_row", "fixed_row"):
+        monkeypatch.setattr(cli.triangle, name, _refuse_all_work)
+    plot = tmp_path / "normal.csv"
+    code, _, err = run(
+        capsys, "normality", "--n", str(cli.EXACT_DISTANCE_ORDER_CAP + 1), "--no-exact",
+        "--samples", "1", "--seed", "1", "--plot-normal-out", str(plot),
+    )
+    assert (code, err) == (0, "")
+    assert len(plot.read_text().splitlines()) == 202
+
+
+@pytest.mark.parametrize("flag", ["--plot-out", "--plot-normal-out"])
+def test_no_exact_with_only_a_plot_writes_the_plot(tmp_path, capsys, flag):
+    plot, again = tmp_path / "plot.csv", tmp_path / "again.csv"
+    code, out, err = run(capsys, "normality", "--n", "40", "--no-exact", flag, str(plot))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "n,mean,variance,s_n"
+    code, _, _ = run(capsys, "normality", "--n", "40", flag, str(again))
+    assert code == 0
+    assert plot.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["moments"], ["normality", "--no-exact", "--plot-normal-out", os.devnull]],
+    ids=["moments", "normality"],
+)
+def test_orders_past_the_float_range_are_usage_errors(capsys, argv):
+    from stirperm import cli
+
+    # at the cap the decimal fields and the normal plot's range still fit
+    code, out, _ = run(capsys, *argv, "--n", str(cli._FLOAT_ORDER_CAP), "--format", "json")
+    assert code == 0 and json.loads(out)["mean_decimal"] > 1e306
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", str(cli._FLOAT_ORDER_CAP + 1)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "overflow a float" in err
+
+
 def test_sample_streams_words_and_stats_deterministically(capsys):
     code, words, _ = run(capsys, "sample", "--n", "3", "--count", "4", "--seed", "42")
     assert code == 0
@@ -449,6 +492,33 @@ def test_verify_triangle_stdout_is_pinned(capsys, quick):
     )
     assert code == 0
     assert out == _TRIANGLE_SUITE_STDOUT[quick]
+
+
+_QUICK_STDOUT = (
+    _TRIANGLE_SUITE_STDOUT[True].removesuffix("6/6 checks passed (triangle, quick)\n")
+    + "PASS  realroots: n distinct real non-positive roots certified, n <= 12\n"
+    "PASS  interlace: consecutive reduced polynomials strictly interlace, n <= 12\n"
+    "PASS  moments: second-moment recurrence equals closed form, n <= 200\n"
+    "PASS  moments: variance closed form consistent\n"
+    "PASS  moments: brute-force mean/second moment match, n <= 6\n"
+    "PASS  moments: variance strictly increasing (and > n/10 from 10 on), n <= 200\n"
+    "PASS  identities: insertion-step indicator identities, n <= 4\n"
+    "PASS  identities: adjacency probabilities sum to (2n+1)/3, n <= 100\n"
+    "PASS  identities: product formula matches enumerated adjacency, n <= 6\n"
+    "PASS  sampler: chi-square uniformity at significance 0.001, 20000 samples, "
+    "seeds (1,)\n"
+    "PASS  sampler: fixed seed reproduces bit-identical draws\n"
+    "PASS  clt: exact normal distance strictly decreases over 10,20,50  "
+    "[D(10)=0.185871 D(20)=0.135014 D(50)=0.0860247]\n"
+    "PASS  clt: exact distances match frozen golden values to 1e-9\n"
+    "19/19 checks passed (all, quick)\n"
+)
+
+
+def test_verify_quick_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--quick")
+    assert code == 0
+    assert out == _QUICK_STDOUT
 
 
 def test_output_file_writing(tmp_path, capsys):

@@ -329,7 +329,20 @@ def test_verify_clt_suite_full_and_quick():
     assert len(full) == 2 and all(r.passed for r in full)
     assert full[0].detail.startswith("D(10)=0.185871 D(20)=0.135014")
     quick = verify.run_suite("clt", quick=True)
-    assert len(quick) == 1 and quick[0].passed
+    assert len(quick) == 2 and all(r.passed for r in quick)  # golden check too
+
+
+def test_verify_quick_ranges_lie_within_the_full_ones():
+    # ``--quick`` trims ranges: an order bound or a count no larger, a tuple
+    # of orders or seeds a prefix of the full one
+    for key, (full, quick) in verify._RANGES.items():
+        if isinstance(full, tuple):
+            assert quick and full[: len(quick)] == quick, key
+        else:
+            assert 0 < quick <= full, key
+    # keys that always held equal values are one key
+    pairs = list(verify._RANGES.values())
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_verify_clt_golden_check_names_a_shifted_order(monkeypatch):

@@ -1,5 +1,3 @@
-from itertools import accumulate
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -55,13 +53,9 @@ class Textbook:
 
 
 def refill_edges(refills=3):
-    """Draw counts at which the buffer runs dry: every size on the way to the
-    cap, then ``refills`` refills at the cap."""
-    sizes, size = [], rng_module._FIRST_REFILL
-    while size < rng_module._MAX_REFILL:
-        sizes.append(size)
-        size *= 2
-    return list(accumulate(sizes + [rng_module._MAX_REFILL] * refills))
+    """Draw counts at which the buffer runs dry, for the first ``refills``
+    refills."""
+    return [k * rng_module._REFILL for k in range(1, refills + 1)]
 
 
 def scalar_lists(seed, bounds, samples):
@@ -207,7 +201,7 @@ def test_verify_sampler_suite_checks_the_mixing_itself(monkeypatch):
 @pytest.mark.parametrize("seed", [1234567, 0, REJECTING_SEED, MASK64])
 def test_buffered_stream_equals_textbook_across_every_refill_size(seed):
     edges = refill_edges()
-    assert edges[0] == rng_module._FIRST_REFILL and len(edges) > 4
+    assert edges[0] == rng_module._REFILL and len(edges) >= 3
     rng, textbook = SplitMix64(seed), Textbook(seed)
     checked = set()
     for draws in range(1, edges[-1] + 2):
@@ -218,7 +212,7 @@ def test_buffered_stream_equals_textbook_across_every_refill_size(seed):
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("edge", refill_edges(1))
+@pytest.mark.parametrize("edge", refill_edges())
 def test_rejection_at_a_refill_edge(edge, offset):
     # the rejected output 2^64 - 1 is draw edge + offset, so the redraw comes
     # just before, at or just after the start of a new refill
@@ -272,7 +266,7 @@ def test_state_counts_the_draws_handed_out_not_the_buffered_ones():
 
     assert handed_out() == 0
     assert rng.below(3) == 1 and handed_out() == 2  # one output rejected
-    assert len(rng._buffer) == rng_module._FIRST_REFILL - 2
+    assert len(rng._buffer) == rng_module._REFILL - 2
     for draws in range(3, 1000):
         rng.next_uint64()
         assert handed_out() == draws
