@@ -128,18 +128,23 @@ def _write_record(args, payload: dict, columns) -> None:
     _write(args.out, text)
 
 
+def _quoted(text: str) -> str:
+    """An argument as a usage error quotes it: in full up to 40 characters,
+    else its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _unparsed(expected: str, text: str) -> argparse.ArgumentTypeError:
     """``text`` does not read as ``expected``. When it is longer than Python's
-    limit on the digits of an int, the message names that limit and quotes
-    only its first 40 characters."""
+    limit on the digits of an int, the message names that limit."""
+    message = f"expected {expected}, got {_quoted(text)}"
     # Python 3.10 before 3.10.7 reads ints of any length and has no getter
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and len(text) > limit:
-        return argparse.ArgumentTypeError(
-            f"expected {expected}, got {text[:40]!r}... ({len(text)} characters); "
-            f"an integer may have at most {limit} digits"
-        )
-    return argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        message += f"; an integer may have at most {limit} digits"
+    return argparse.ArgumentTypeError(message)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -158,14 +163,15 @@ def _positive_int(text: str) -> int:
     except ValueError:
         raise _unparsed("an integer", text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        shown = value if len(text) <= 40 else _quoted(text)
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {shown}")
     return value
 
 
 def _positive_fraction(text: str) -> Fraction:
     value = _parse_fraction(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive rational, got {_quoted(text)}")
     return value
 
 

@@ -129,16 +129,17 @@ def plateau_probability(n: int, value: int) -> PlateauIndicator:
 
 def sum_identity_check(n: int) -> bool:
     """Adjacency probabilities over all values must sum to the mean plateau
-    count (2n + 1)/3; exact rational accumulation."""
+    count (2n + 1)/3. The i-th summand, which covers value n - i, is
+    r_1 ... r_i with r_j = (2n - 2j)/(2n - 2j + 1), so the sum is
+    1 + r_1 (1 + r_2 (... (1 + r_(n-1)))): one Horner pass from the inside
+    out, on an integer numerator and denominator with no gcd."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    total = Fraction(0)
-    product = Fraction(1)
-    for i in range(n):  # i-th summand covers value n - i
-        if i > 0:
-            product *= Fraction(2 * n - 2 * i, 2 * n - 2 * i + 1)
-        total += product
-    return total == Fraction(2 * n + 1, 3)
+    num = den = 1
+    for even in range(2, 2 * n, 2):  # r_j = even / (even + 1), even = 2n - 2j
+        den *= even + 1
+        num = den + even * num
+    return 3 * num == (2 * n + 1) * den
 
 
 def indicator_expectations(

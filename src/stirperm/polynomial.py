@@ -102,24 +102,44 @@ class IntPolynomial:
     def sign_at(self, numerator: int, denominator: int = 1) -> int:
         """Exact sign of the value at numerator/denominator (denominator > 0).
 
-        Homogeneous Horner in integers. With denominator = odd * 2^s, the
-        term of x^i is scaled by odd^(d-i), a running product skipped when
-        odd is 1, and shifted left by s(d-i) bits: at a dyadic point the
-        only multiplications are the accumulator's by the numerator.
+        Homogeneous Horner in integers: the value times denominator^d, d the
+        degree, whose term of x^i is scaled by denominator^(d-i). One of four
+        loops is chosen from the point. A denominator with an odd factor > 1
+        keeps a running power of the denominator; an integer point needs no
+        scaling; at -1 / 2^s, the reversed polynomial is taken at -2^s, so
+        each step is one shift and one subtraction; at any other a / 2^s, the
+        term of x^i is shifted left by s(d-i) bits, and the only
+        multiplications are the accumulator's by the numerator.
         """
         if denominator <= 0:
             raise ValueError("denominator must be positive")
-        if not self._coeffs:
+        coeffs = self._coeffs
+        if not coeffs:
             return 0
         s = (denominator & -denominator).bit_length() - 1
-        odd = denominator >> s
-        acc, power, shift = self._coeffs[-1], 1, 0
-        for c in reversed(self._coeffs[:-1]):
-            shift += s
-            if odd > 1:
-                power *= odd
-                c *= power
-            acc = acc * numerator + (c << shift)
+        terms = reversed(coeffs)
+        acc = next(terms)
+        if denominator >> s > 1:
+            power = 1
+            for c in terms:
+                power *= denominator
+                acc = acc * numerator + c * power
+        elif not s:
+            for c in terms:
+                acc = acc * numerator + c
+        elif numerator == -1:
+            # 2^(sd) P(-2^-s) = (-1)^d R(-2^s), R(y) = y^d P(1/y): Horner on R
+            # reads the coefficients from c_0 up
+            acc = 0
+            for c in coeffs:
+                acc = c - (acc << s)
+            if len(coeffs) % 2 == 0:
+                acc = -acc
+        else:
+            shift = 0
+            for c in terms:
+                shift += s
+                acc = acc * numerator + (c << shift)
         return (acc > 0) - (acc < 0)
 
     def __repr__(self) -> str:

@@ -21,13 +21,15 @@ taken at denominator 2^k, where ``sign_at`` shifts instead of multiplying.
 Each sign is taken once: order n keeps R_n's sign at every point it tried,
 and order n+1, which bisects R_n at many of the same points, reads them
 back, but only while the kept polynomial is the R_n it bisects. Points
-become ``Fraction`` only when a certificate is built; the midpoints that
-``width`` refinement adds are dyadic too.
+become ``Fraction`` only when a certificate is built, once for both
+certificates of an order; the midpoints that ``width`` refinement adds are
+dyadic too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .polynomial import IntPolynomial
@@ -69,6 +71,12 @@ def _sign(p: IntPolynomial, x: Dyadic, signs: dict[Dyadic, int]) -> int:
 
 def _fraction(x: Dyadic) -> Fraction:
     return Fraction(x[0], 1 << x[1])
+
+
+@lru_cache(maxsize=8)
+def _fractions(xs: tuple[Dyadic, ...]) -> tuple[Fraction, ...]:
+    """``xs`` as Fractions, built once for the certificates of one order."""
+    return tuple(map(_fraction, xs))
 
 
 def _split(lo: Dyadic, hi: Dyadic) -> Dyadic:
@@ -156,7 +164,7 @@ def certify_real_roots(n: int, width: Fraction | None = None) -> RealRootCertifi
         k = max(0, j + 2 - (-a).bit_length())
     while p.sign_at(-1, 1 << k) >= 0:  # P_n = x R_n: R_n(u) > 0
         k += 1
-    ends = [_fraction(x) for x in points[:-1] + ((-1, k), (0, 0))]
+    ends = [*_fractions(points)[:-1], _fraction((-1, k)), Fraction(0)]
     intervals = list(zip(ends, ends[1:]))
     for i, (lo, hi) in enumerate(intervals if width is not None else ()):
         s_lo = p.sign_at(lo.numerator, lo.denominator)
@@ -190,9 +198,9 @@ def interlace_certificate(n: int) -> InterlaceCertificate:
         raise ValueError(f"interlacing needs order >= 2, got {n}")
     if n == 2:  # R_1 is the constant 1: nothing to interlace with
         return InterlaceCertificate(order=2, verified=True, witnesses=())
-    points, uppers = _witnesses(n)
+    points, uppers = map(_fractions, _witnesses(n))
     witnesses = tuple(
-        GapWitness(_fraction(lo), _fraction(hi), (-1) ** (n - 1 - g), (-1) ** (n - 2 - g))
+        GapWitness(lo, hi, (-1) ** (n - 1 - g), (-1) ** (n - 2 - g))
         for g, (lo, hi) in enumerate(zip(points[:1] + uppers, points[1:]))
     )
     return InterlaceCertificate(n, True, witnesses)

@@ -85,43 +85,26 @@ def _derivative_polynomials(n_max: int):
 
 
 def _suite_triangle(p) -> list[CheckResult]:
-    sums = [
-        (n, sum(triangle.triangle_row(n)) == double_factorial(n))
-        for n in range(1, p["row_orders"] + 1)
-    ]
-    oracle = []
-    for n in range(1, p["enumeration_orders"] + 1):
-        row = triangle.triangle_row(n)
-        for stat in STAT_LABELS:
-            oracle.append(
-                (f"n={n} {stat}", row == brute_force_triangle(n, stat))
-            )
-    agree = []
-    means = []
+    # one ascending walk: each row is read once, one step of the builder's
+    # memo from the last, and the Gessel-Stanley walk reads it in step
+    sums, oracle, agree, means, series, modes = [], [], [], [], [], []
+    series_checks = triangle.gessel_stanley_checks(range(1, p["wilf_orders"] + 1))
     oracle_polys = _derivative_polynomials(p["row_orders"])
     for n, oracle_poly in enumerate(oracle_polys, start=1):
-        poly = triangle.descent_polynomial(n)
-        agree.append((f"n={n}", poly == oracle_poly))
-        means.append(
-            (
-                f"n={n}",
-                Fraction(poly.derivative()(1), poly(1))
-                == Fraction(2 * n + 1, 3),
-            )
-        )
-    series = [
-        (f"n={n}", ok)
-        for n, ok in triangle.gessel_stanley_checks(range(1, p["wilf_orders"] + 1))
-    ]
-    modes = []
-    for n in range(1, p["row_orders"] + 1):
+        row = triangle.triangle_row(n)
+        total = sum(row)
+        sums.append((n, total == double_factorial(n)))
+        if n <= p["enumeration_orders"]:
+            for stat in STAT_LABELS:
+                oracle.append((f"n={n} {stat}", row == brute_force_triangle(n, stat)))
+        agree.append((f"n={n}", IntPolynomial((0,) + row) == oracle_poly))
+        # P_n'(1) / P_n(1) = (2n + 1)/3
+        weighted = sum(i * t for i, t in enumerate(row, start=1))
+        means.append((f"n={n}", 3 * weighted == (2 * n + 1) * total))
+        if n <= p["wilf_orders"]:
+            series.append((f"n={n}", next(series_checks)[1]))
         report = triangle.locate_mode(n)
-        modes.append(
-            (
-                f"n={n}",
-                report.within_unit_of_mean and report.argmax_in_predicted,
-            )
-        )
+        modes.append((f"n={n}", report.within_unit_of_mean and report.argmax_in_predicted))
     return [
         _check("triangle", f"row sums equal (2n-1)!! for n <= {p['row_orders']}", sums),
         _check(

@@ -554,6 +554,38 @@ def test_argument_past_the_int_digit_limit_names_it_briefly(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,length",
+    [
+        (["moments", "--n", "-" + "9" * 4299], 4300),
+        (["roots", "--n", "3", "--width=-" + "9" * 4000 + "/1"], 4003),
+    ],
+    ids=["int", "rational"],
+)
+def test_long_nonpositive_argument_is_quoted_briefly(capsys, argv, length):
+    # both parse, so the refusal is the positivity check's
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"... ({length} characters)" in err and len(err) < 500
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["moments", "--n", "-3"], "expected a positive integer, got -3\n"),
+        (["roots", "--n", "3", "--width=-1/8"], "expected a positive rational, got '-1/8'\n"),
+    ],
+    ids=["int", "rational"],
+)
+def test_short_nonpositive_argument_is_quoted_in_full(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(message)
+
+
+@pytest.mark.parametrize(
     "argv,code",
     [
         (["poly", "--n", "3", "--eval", "1e-999999999", "--format", "json"], 2),

@@ -129,6 +129,16 @@ def test_sum_identity_small_and_large():
     assert sum_identity_check(500)
 
 
+def test_sum_identity_agrees_with_a_fraction_sum():
+    for n in range(1, 81):
+        total, product = Fraction(0), Fraction(1)
+        for i in range(n):  # the i-th summand covers value n - i
+            if i:
+                product *= Fraction(2 * n - 2 * i, 2 * n - 2 * i + 1)
+            total += product
+        assert sum_identity_check(n) == (total == Fraction(2 * n + 1, 3)), n
+
+
 def test_indicator_pair_step_checks():
     for n in range(1, 6):
         assert indicator_pair_step_checks(n)

@@ -94,6 +94,41 @@ def test_sign_at_matches_eval():
         assert q.sign_at(num, den) == 0, (num, den)
 
 
+def _fraction_sign(p: IntPolynomial, x: Fraction) -> int:
+    acc = Fraction(0)
+    for c in reversed(p.coefficients):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+wide_polys = st.lists(st.integers(-(10**20), 10**20), max_size=12).map(IntPolynomial)
+numerators = st.integers(-(10**6), 10**6)
+powers_of_two = st.integers(1, 70).map(lambda k: 1 << k)
+#: (numerator, denominator) for each of ``sign_at``'s loops
+sign_points = st.one_of(
+    st.tuples(numerators, st.builds(lambda odd, k: (2 * odd + 1) << k,
+                                    st.integers(1, 10**4), st.integers(0, 12))),
+    st.tuples(numerators, st.just(1)),
+    st.just((0, 1)),
+    st.tuples(st.just(-1), powers_of_two),
+    st.tuples(numerators, powers_of_two),
+)
+
+
+@given(wide_polys, sign_points)
+def test_sign_at_matches_a_fraction_horner(p, point):
+    num, den = point
+    assert p.sign_at(num, den) == _fraction_sign(p, Fraction(num, den))
+
+
+@given(wide_polys, sign_points)
+def test_sign_at_is_zero_at_an_exact_root(p, point):
+    num, den = point
+    q = p * IntPolynomial([-num, den])  # vanishes at num / den
+    assert _fraction_sign(q, Fraction(num, den)) == 0
+    assert q.sign_at(num, den) == 0
+
+
 @given(polys, polys, rationals)
 def test_eval_is_a_ring_homomorphism(p, q, x):
     assert (p * q)(x) == p(x) * q(x)

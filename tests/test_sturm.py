@@ -399,3 +399,22 @@ def test_witnesses_take_each_sign_once(monkeypatch):
     monkeypatch.setattr(IntPolynomial, "sign_at", counted)
     sturm_module._witnesses(40)
     assert calls[0] <= 2929
+
+
+def test_certify_sweep_takes_every_sign_through_sign_at(monkeypatch):
+    # the bench counts ``polynomial.sign_at`` on this sweep: a kernel that
+    # bypassed the name would leave the count short
+    monkeypatch.setattr(sturm_module, "_WITNESSES", {})
+    monkeypatch.setattr(sturm_module, "_CARRIED", (IntPolynomial(), {}))
+    calls = [0]
+    sign_at = IntPolynomial.sign_at
+
+    def counted(self, *args):
+        calls[0] += 1
+        return sign_at(self, *args)
+
+    monkeypatch.setattr(IntPolynomial, "sign_at", counted)
+    for n in range(2, 41):
+        certify_real_roots(n)
+        interlace_certificate(n)
+    assert calls[0] == 3020
