@@ -291,17 +291,9 @@ def sample_statistic_histogram(
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     histogram = [0] * (n + 1)
-    # step k = 1..n-1 inserts into the 2k + 1 gaps of an order-k word; a
-    # chunk's samples are drawn a step at a time, one 128-bit lane each
-    for chunk in SplitMix64(seed).below_lanes(range(3, 2 * n, 2), samples):
-        ones = chunk.ones
-        high = ones << 64
-        room = high - ones  # 2^64 - count in each lane; every count starts at 1
-        for gaps in chunk:
-            # gap >= count exactly when bit 64 of gap + room is set
-            room -= ((gaps + room) >> 64) & ones
-        for value in chunk.unpack(high - room):
-            histogram[value] += 1
+    # step k = 1..n-1 inserts into the 2k + 1 gaps of an order-k word
+    for count in SplitMix64(seed).below_chain(range(3, 2 * n, 2), samples):
+        histogram[count] += 1
     return tuple(histogram)
 
 

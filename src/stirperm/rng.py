@@ -9,38 +9,48 @@ object is bit-reproducible from its integer seed, on any platform, forever.
 Output k of a seed depends on nothing but seed + k*GAMMA, so scalar draws are
 mixed ahead of use: a generator keeps a short list of outputs and refills it
 by mixing consecutive states as the 128-bit lanes of one int, with the same
-``_mix`` as the lane kernel below. Every refill mixes 256 outputs. A fresh
+``_mix`` as the chain kernel below. Every refill mixes 256 outputs. A fresh
 generator that draws one order-9 word mixes 248 it never uses, so it takes
 28-38 us where mixing only its 8 took 6-9 us (Python 3.11, a 2-core host);
 a generator that draws for long pays nothing for it. ``state`` is the state
 after the draws handed out so far, seed + (draws taken)*GAMMA whatever is
 buffered, and assigning it drops the buffer.
 
-``below_lanes`` draws the same W bounds for many samples at once, a step at
-a time. Sample s of a chunk of up to ``LANES`` samples takes draws s*W + k,
-k = 0..W-1, so draw k of every sample in the chunk is one Python int: lane s
-(bits 128s..128s+127) holds the state s0 + (s*W + k + 1)*GAMMA, and each
-step adds GAMMA to every lane. The lanes are mixed by ``_mix``, as the
-refills are, and masking each shifted value and each product to the lanes'
-low 64 bits keeps lanes from leaking into each other. Every lane
-of a step has the same bound b, so all of them are reduced together
-(Barrett, CRYPTO '86): with m = floor(2^64 / b), q = (z*m) >> 64 is z // b or
-one less, r = z - q*b is below min(2b, 2^64), and subtracting b where bit 64
-of r + 2^64 - b is set leaves z mod b.
+``below_chain`` runs one chain of W bounds for many samples at once, a step
+at a time: a sample's count starts at 1 and gains 1 at each bound b whose
+draw ``below(b)`` is at least the count so far. Sample s of a chunk of up to
+``LANES`` samples takes draws s*W + k, k = 0..W-1, so draw k of every sample
+in the chunk is one Python int: lane s (bits 128s..128s+127) holds the state
+s0 + (s*W + k + 1)*GAMMA, and each step adds GAMMA to every lane. The lanes
+are mixed by ``_mix``, as the refills are, and masking each shifted value
+and each product to the lanes' low 64 bits keeps lanes from leaking into
+each other. Every lane of a step has the same bound b, so all of them are
+reduced together (Barrett, CRYPTO '86): with m = floor(2^64 / b),
+q = (z*m) >> 64 is z // b or one less, so r = z - q*b is z mod b or that
+plus b, and below 2^64.
+
+That one reduction is all the comparison needs. Each lane keeps
+room = 2^64 - c for its count c, and z mod b >= c is the parity of the
+carries into bit 64 of r + 2^64 - c, r + 2^64 - b and r + 2^64 - b - c,
+which are [r >= c], [r >= b] and [r >= b + c]: where r < b the last two are
+0, and where r >= b the first is 1 (c < b) and the second cancels it. A
+count is at most k before step k, so every sum lies in [0, 2^65) and no lane
+borrows from the next when k < b_k <= 2^64 - k, which ``below_chain`` checks
+before its first draw; the chain's own bounds b_k = 2k + 1 meet it.
 
 A lane with an output at or above the smallest rejection limit sets bit 64
 of a flag word. After a chunk the samples before the first flagged one are
-kept, that sample is drawn by ``below`` itself, and the next chunk starts
-after it, so rejection follows one rule: the values and the final state are
-exactly those of the same calls to ``below``, and seed streams do not depend
-on which of the two a caller uses.
+kept, that sample's chain is drawn by ``below`` itself, and the next chunk
+starts after it, so rejection follows one rule: the counts and the final
+state are exactly those of the same calls to ``below``, and seed streams do
+not depend on which of the two a caller uses.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator, Sequence
-from functools import cache
+from collections.abc import Iterator, Sequence
+from functools import cache, lru_cache
 
 MASK64 = (1 << 64) - 1
 LANES = 2048  # samples per chunk, one 128-bit lane each
@@ -68,37 +78,27 @@ def _refill_table() -> tuple:
     """(ones, mask, state offsets, unpack) of a refill, built on first use.
     Lane s of the offsets is (_REFILL - s)*GAMMA: the last output of a
     refill is mixed in the lowest lane and unpacked first."""
-    ones = _pack([1] * _REFILL)
-    offsets = _pack((i * _GAMMA) & MASK64 for i in range(_REFILL, 0, -1))
+    ones = _ones(_REFILL)
+    offsets = _pack([(i * _GAMMA) & MASK64 for i in range(_REFILL, 0, -1)])
     return ones, ones * MASK64, offsets, struct.Struct("<" + "Q8x" * _REFILL).unpack
 
 
-def _pack(values) -> int:
-    """One 128-bit lane per value, the first value in the lowest lane."""
-    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+def _ones(lanes: int) -> int:
+    """1 in each of ``lanes`` 128-bit lanes."""
+    return int.from_bytes(b"\1".ljust(16, b"\0") * lanes, "little")
 
 
-class LaneDraws:
-    """One chunk of ``SplitMix64.below_lanes``: iterating it yields, for
-    each bound in turn, an int whose lane s holds sample s's draw below that
-    bound. ``ones`` has a 1 at the lowest bit of every lane. Once the
-    iteration has ended, the first ``kept`` lanes are the draws of scalar
-    ``below`` calls and the rest are to be dropped."""
+def _pack(values: Sequence[int]) -> int:
+    """One 128-bit lane per value below 2^64, the first value in the lowest lane."""
+    return int.from_bytes(struct.pack("<" + "Q8x" * len(values), *values), "little")
 
-    __slots__ = ("ones", "kept", "_steps")
 
-    def __init__(self, lanes: int, steps: Iterable[int] = ()):
-        self.ones = _pack([1] * lanes)
-        self.kept = lanes
-        self._steps = iter(steps)
-
-    def __iter__(self) -> Iterator[int]:
-        return self._steps
-
-    def unpack(self, packed: int) -> list[int]:
-        """The low 64-bit word of each of the first ``kept`` lanes."""
-        data = (packed & ((1 << 128 * self.kept) - 1)).to_bytes(16 * self.kept, "little")
-        return [word for word, in struct.iter_unpack("<Q8x", data)]
+@lru_cache(maxsize=2)  # a full chunk, and the last one of a count
+def _chunk_constants(lanes: int) -> tuple[int, int, int, int]:
+    """(ones, mask, high, ramp) of a chunk: 1, 2^64 - 1, 2^64 and s in
+    each lane s."""
+    ones = _ones(lanes)
+    return ones, ones * MASK64, ones << 64, _pack(range(lanes))
 
 
 class SplitMix64:
@@ -153,47 +153,52 @@ class SplitMix64:
             if z + bound <= 1 << 64 or z < ((1 << 64) // bound) * bound:
                 return z % bound
 
-    def below_lanes(self, bounds: Sequence[int], samples: int) -> Iterator[LaneDraws]:
-        """Draw ``[self.below(b) for b in bounds]`` for each of ``samples``
-        samples, as chunks of packed lanes (see the module docstring).
+    def below_chain(self, bounds: Sequence[int], samples: int) -> Iterator[int]:
+        """Yield the count of each of ``samples`` samples: 1, plus 1 for
+        every bound b whose draw ``self.below(b)`` is at least the count so
+        far (see the module docstring). The draws, rejections and final
+        state are those of the scalar calls.
 
-        A chunk's ``kept`` and ``self.state`` are final once the chunk has
-        been read to its end; taking the next chunk reads what is left of
-        it. The chunks keep ``samples`` lanes in all and leave
-        ``self.state`` where the scalar calls would. ``bounds`` is read
-        again for every chunk, so a ``range`` costs no memory however long
-        it is.
+        Bound k, counting from 1, must lie in k + 1..2^64 - k, so that every
+        count stays below its bound; all are checked before the first draw.
+        A chunk moves ``self.state`` past all its kept samples before it
+        yields the first of their counts, and the next chunk starts wherever
+        the state then is. ``bounds`` is read again for every chunk, so a
+        ``range`` costs no memory however long it is.
         """
-        for bound in bounds:
-            if not 0 < bound <= 1 << 64:
-                raise ValueError(f"bound must be in 1..2^64, got {bound}")
+        for k, bound in enumerate(bounds, start=1):
+            if not k < bound <= (1 << 64) - k:
+                raise ValueError(f"bound {k} must be in {k + 1}..2^64 - {k}, got {bound}")
         floor = min((((1 << 64) // b) * b for b in bounds), default=1 << 64)
+        stride = (len(bounds) * _GAMMA) & MASK64
         while samples > 0:
             lanes = min(samples, LANES)
-            chunk = LaneDraws(lanes)
-            chunk._steps = self._lane_steps(chunk, bounds, floor)
-            yield chunk
-            for _ in chunk:  # a chunk left unfinished still moves the state
-                pass
-            samples -= chunk.kept
-            if chunk.kept < lanes:  # the first flagged sample, drawn by below
-                yield LaneDraws(1, [self.below(b) for b in bounds])
+            ones, mask, high, ramp = _chunk_constants(lanes)
+            step = ones * _GAMMA
+            over = ones * ((1 << 64) - floor)  # bit 64 of z + over: z >= floor
+            start = self.state
+            state = (start * ones + ramp * stride) & mask
+            room = high - ones  # 2^64 - count in each lane; every count starts at 1
+            flags = 0
+            for b in bounds:
+                state = (state + step) & mask
+                z = _mix(state, mask)
+                flags |= z + over
+                z -= (((z * ((1 << 64) // b)) >> 64) & mask) * b  # r: z mod b, or + b
+                low = ones * b
+                t = z + room
+                # the parity of three carries: z mod b >= count
+                room -= ((t ^ (z + high - low) ^ (t - low)) >> 64) & ones
+            flagged = (flags >> 64) & ones
+            kept = ((flagged & -flagged).bit_length() - 1) // 128 if flagged else lanes
+            self.state = (start + kept * stride) & MASK64
+            counts = (high - room).to_bytes(16 * lanes, "little")[: 16 * kept]
+            for count, in struct.iter_unpack("<Q8x", counts):
+                yield count
+            samples -= kept
+            if kept < lanes:  # the first flagged sample, drawn by below
+                count = 1
+                for b in bounds:
+                    count += self.below(b) >= count
+                yield count
                 samples -= 1
-
-    def _lane_steps(self, chunk: LaneDraws, bounds, floor: int) -> Iterator[int]:
-        ones = chunk.ones
-        mask, step, high = ones * MASK64, ones * _GAMMA, ones << 64
-        over = ones * ((1 << 64) - floor)  # bit 64 of z + over: z >= floor
-        start, stride = self.state, len(bounds) * _GAMMA
-        state = _pack((start + s * stride) & MASK64 for s in range(chunk.kept))
-        flags = 0
-        for b in bounds:
-            state = (state + step) & mask
-            z = _mix(state, mask)
-            flags |= z + over
-            z -= (((z * ((1 << 64) // b)) >> 64) & mask) * b
-            yield z - (((z + high - ones * b) >> 64) & ones) * b
-        flagged = (flags >> 64) & ones
-        if flagged:
-            chunk.kept = ((flagged & -flagged).bit_length() - 1) // 128
-        self.state = (start + chunk.kept * stride) & MASK64

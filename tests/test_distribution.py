@@ -363,6 +363,55 @@ def test_verify_clt_golden_check_names_a_shifted_order(monkeypatch):
     assert golden.detail == "first failure: n=50"
 
 
+def _wrong_second_moment_at_seven(real):
+    # the variance follows the wrong second moment, as second - mean^2
+    def moments(n):
+        m = real(n)
+        if n != 7:
+            return m
+        second = m.second_moment + Fraction(1, 9)
+        return m._replace(second_moment=second, variance=second - m.mean**2)
+
+    return moments
+
+
+def _moved_mass_at_seven(real):
+    # one permutation from 3 plateaux and one from 5 moved to 4: the sum
+    # and the mean of row 7 stay, and its variance falls
+    def row(n):
+        entries = list(real(n))
+        if n == 7:
+            entries[2] -= 1
+            entries[3] += 2
+            entries[4] -= 1
+        return tuple(entries)
+
+    return row
+
+
+@pytest.mark.parametrize(
+    "module,name,patch",
+    [
+        (distribution, "moments_exact", _wrong_second_moment_at_seven),
+        (triangle, "triangle_row", _moved_mass_at_seven),
+    ],
+    ids=["closed-form", "row"],
+)
+def test_verify_variance_check_fails_on_a_patched_route(monkeypatch, module, name, patch):
+    def variance_check():
+        (check,) = [
+            c for c in verify.run_suite("moments", quick=True)
+            if c.name == "variance closed form consistent"
+        ]
+        return check
+
+    assert variance_check().passed
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    check = variance_check()
+    assert not check.passed
+    assert check.detail == "first failure: n=7"
+
+
 def test_statistic_histogram_matches_word_sampler_distribution():
     # the gap-class chain must reproduce the plateau-count law of the full
     # word sampler; compare both against the exact pmf at order 3

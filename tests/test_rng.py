@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,18 @@ GAMMA = 0x9E3779B97F4A7C15  # the documented per-draw state increment
 GAMMA_INV = pow(GAMMA, -1, 1 << 64)
 # the first output of this seed is 2^64 - 1, which every odd bound >= 3 rejects
 REJECTING_SEED = 0x31628AF67B2131AB
-# the same stream entered 5,000 draws earlier: with one bound per sample the
-# rejected output is sample 5,000's, in the third chunk
-LATE_REJECTING_SEED = (REJECTING_SEED - 5000 * GAMMA) & MASK64
-# with three bounds per sample, draw 6,445 = 3 * (2048 + 100) + 1 is the
-# rejected one: the middle draw of lane 100 of the second chunk
-MID_LANE_REJECTING_SEED = (REJECTING_SEED - 6445 * GAMMA) & MASK64
+
+
+def rejecting_at(draw):
+    """The seed whose output ``draw`` (counting from 0) is 2^64 - 1."""
+    return (REJECTING_SEED - draw * GAMMA) & MASK64
+
+
+# with one bound per sample the rejected output is sample 5,000's, in the
+# third chunk
+LATE_REJECTING_SEED = rejecting_at(5000)
+# with three bounds per sample, the middle draw of lane 100 of the second chunk
+MID_LANE_REJECTING_SEED = rejecting_at(3 * (LANES + 100) + 1)
 
 
 # outputs of the published reference implementation, splitmix64.c
@@ -58,25 +66,29 @@ def refill_edges(refills=3):
     return [k * rng_module._REFILL for k in range(1, refills + 1)]
 
 
-def scalar_lists(seed, bounds, samples):
+def scalar_count(rng, bounds):
+    """One sample of ``below_chain`` drawn by scalar ``below`` calls."""
+    count = 1
+    for b in bounds:
+        count += rng.below(b) >= count
+    return count
+
+
+def scalar_chain(seed, bounds, samples):
     rng = SplitMix64(seed)
-    return [[rng.below(b) for b in bounds] for _ in range(samples)], rng.state
+    return [scalar_count(rng, bounds) for _ in range(samples)], rng.state
 
 
-def lane_draws(rng, bounds, samples):
-    """Each sample's draws, read back from the chunks' unpacked lanes."""
-    lists = []
-    for chunk in rng.below_lanes(bounds, samples):
-        steps = list(chunk)  # kept is final only once the chunk is read
-        lists += [list(draws) for draws in zip(*map(chunk.unpack, steps))]
-        if not steps:
-            lists += [[] for _ in range(chunk.kept)]
-    return lists
-
-
-def lane_lists(seed, bounds, samples):
+def lane_chain(seed, bounds, samples):
     rng = SplitMix64(seed)
-    return lane_draws(rng, bounds, samples), rng.state
+    return list(rng.below_chain(bounds, samples)), rng.state
+
+
+def chain_bound(k, kind):
+    """A bound that ``below_chain`` accepts at position k (from 1): the
+    least, the histogram's 2k + 1, one that rejects about half of all
+    outputs, and the largest."""
+    return (k + 1, 2 * k + 1, 2**63 + 1, 2**64 - k)[kind]
 
 
 def test_rejection_branch_consumes_a_second_draw():
@@ -84,7 +96,7 @@ def test_rejection_branch_consumes_a_second_draw():
     rng = SplitMix64(REJECTING_SEED)
     assert rng.below(3) == 1
     assert rng.state == (REJECTING_SEED + 2 * GAMMA) & MASK64
-    assert lane_lists(REJECTING_SEED, [3], 1) == ([[1]], rng.state)
+    assert lane_chain(REJECTING_SEED, [3], 1) == ([2], rng.state)
     assert sample_statistic_histogram(6, 10, REJECTING_SEED) == (0, 0, 1, 0, 4, 5, 0)
 
 
@@ -94,11 +106,11 @@ def test_rejection_branch_consumes_a_second_draw():
         ([], 4),
         ([7], 0),
         ([7], 3000),  # two chunks, the second one partial
-        (list(range(3, 1000, 2)), 9),  # the histogram's bounds at order 500
-        ([5] * 2048, 3),
-        ([5] * 2047 + [3], 2),
-        ([2] * 2049, 2),
-        ([3, 2**64 - 1, 2**63 + 1, 1, 10**18] * 1100, 2),  # 5,500 draws a sample
+        (range(3, 1000, 2), 9),  # the histogram's bounds at order 500
+        (range(3, 4099, 2), 3),  # 2,048 steps
+        ([chain_bound(k, k % 4) for k in range(1, 41)], 40),  # every edge kind
+        # 5,500 draws a sample, every bound far above any count
+        ([2**64 - 5500, 2**63 + 1, 10**18, 3 * 2**61 + 7, 6000] * 1100, 2),
         ([], LANES + 1),
         ([7], 1),
         ([7], 6000),  # three chunks
@@ -106,57 +118,118 @@ def test_rejection_branch_consumes_a_second_draw():
         ([5, 3], LANES),
         ([5, 3, 7], LANES + 1),
         ([3, 5, 7], 2 * LANES + 4),
-        # edge bounds: 1 and 2^64 never reject, 2^63 + 1 rejects about half
-        # of all outputs, 2^64 - 1 only the largest
-        ([1, 2, 2**64 - 1, 2**64, 3], 40),
+        # the least bounds: every count can reach its bound less one
+        ([2, 3, 4, 5], 40),
+        # the largest bounds, one of them a power of two that rejects nothing
+        ([2**64 - 1, 2**64 - 2, 2**62, 2**64 - 4], 40),
         ([3, 2**63 + 1, 10**18], 40),
     ],
 )
 @pytest.mark.parametrize(
     "seed", [1, REJECTING_SEED, LATE_REJECTING_SEED, MID_LANE_REJECTING_SEED]
 )
-def test_kernel_equals_scalar_below_across_blocks(seed, bounds, samples):
-    assert lane_lists(seed, bounds, samples) == scalar_lists(seed, bounds, samples)
+def test_chain_equals_scalar_below_across_chunks(seed, bounds, samples):
+    assert lane_chain(seed, bounds, samples) == scalar_chain(seed, bounds, samples)
+
+
+def chunk_starts(rng, counts):
+    """The indices of the counts before which ``rng.state`` moved: where
+    each chunk, or each scalar redraw, begins."""
+    starts, last = [], rng.state
+    for i, _ in enumerate(counts):
+        if rng.state != last:
+            starts.append(i)
+            last = rng.state
+    return starts
+
+
+def test_rejection_at_the_start_redraws_the_first_sample():
+    rng = SplitMix64(REJECTING_SEED)
+    counts = rng.below_chain([3, 5, 7], LANES + 1)
+    # the first sample alone, by below, then one chunk for the rest
+    assert chunk_starts(rng, counts) == [0, 1]
+    assert rng.state == scalar_chain(REJECTING_SEED, [3, 5, 7], LANES + 1)[1]
 
 
 def test_mid_lane_rejection_restarts_after_the_rejected_sample():
     rng = SplitMix64(MID_LANE_REJECTING_SEED)
-    chunks = []
-    for chunk in rng.below_lanes([3, 5, 7], 2 * LANES + 4):
-        for _ in chunk:
-            pass
-        chunks.append((chunk.kept, chunk.ones.bit_length()))
+    counts = rng.below_chain([3, 5, 7], 2 * LANES + 4)
     # a full chunk, then 100 kept lanes of the second, the rejected sample
     # alone, and the remaining 1,951 samples in the next chunk
-    assert [kept for kept, _ in chunks] == [LANES, 100, 1, LANES + 3 - 100]
-    assert chunks[2][1] == 1  # the one-lane chunk of the scalar redraw
+    assert chunk_starts(rng, counts) == [0, LANES, LANES + 100, LANES + 101]
+    assert rng.state == scalar_chain(MID_LANE_REJECTING_SEED, [3, 5, 7], 2 * LANES + 4)[1]
 
 
-def test_kernel_follows_draws_made_between_chunks():
+def test_late_rejection_lands_in_the_third_chunk():
+    rng = SplitMix64(LATE_REJECTING_SEED)
+    assert chunk_starts(rng, rng.below_chain([7], 6000)) == [0, LANES, 2 * LANES, 5000, 5001]
+
+
+def test_chain_follows_draws_made_between_chunks():
     rng, reference = SplitMix64(42), SplitMix64(42)
     bounds = range(3, 30, 2)
-    for chunk in rng.below_lanes(bounds, LANES + 5):
-        steps = list(chunk)
-        for draws in zip(*map(chunk.unpack, steps)):
-            assert list(draws) == [reference.below(b) for b in bounds]
-        assert rng.state == reference.state
-        assert rng.below(11) == reference.below(11)
+    for i, count in enumerate(rng.below_chain(bounds, 2 * LANES + 5), start=1):
+        assert count == scalar_count(reference, bounds)
+        if i % LANES == 0 or i == 2 * LANES + 5:  # the last count of a chunk
+            assert rng.state == reference.state
+            assert rng.below(11) == reference.below(11)
+    assert rng.state == reference.state
 
 
-def test_unfinished_chunk_still_moves_the_state():
+def test_a_chunk_moves_the_state_before_its_first_count():
     rng = SplitMix64(9)
-    chunks = rng.below_lanes([3, 5], 3)
-    next(chunks)  # not read at all
-    assert next(chunks, None) is None
-    assert rng.state == scalar_lists(9, [3, 5], 3)[1]
+    chain = rng.below_chain([3, 5], 3)
+    expected, state = scalar_chain(9, [3, 5], 3)
+    assert next(chain) == expected[0]
+    assert rng.state == state
+    assert list(chain) == expected[1:]
 
 
-@pytest.mark.parametrize("bounds", [[0], [3, -1]])
-def test_kernel_rejects_nonpositive_bounds_before_drawing(bounds):
+@pytest.mark.parametrize(
+    "bounds",
+    [[0], [1], [3, -1], [3, 2], [2, 3, 3], [2**64], [3, 2**64 - 1], [2**64 + 1], [3, 2**64 + 1]],
+)
+def test_chain_refuses_bounds_before_drawing(bounds):
     rng = SplitMix64(5)
+    rng.next_uint64()
     with pytest.raises(ValueError):
-        next(rng.below_lanes(bounds, 1))
-    assert rng.state == 5
+        next(rng.below_chain(bounds, 1))
+    assert rng.state == (5 + GAMMA) & MASK64
+    assert rng.next_uint64() == Textbook((5 + GAMMA) & MASK64).next_uint64()
+
+
+CHAIN_BOUNDS = st.lists(st.integers(0, 3), max_size=6).map(
+    lambda kinds: [chain_bound(k, kind) for k, kind in enumerate(kinds, start=1)]
+)
+NEAR_REJECTION = st.integers(0, 400).map(rejecting_at)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 64]),
+    st.one_of(st.integers(0, MASK64), NEAR_REJECTION),
+    CHAIN_BOUNDS,
+    st.integers(0, 150),
+)
+@example(1, REJECTING_SEED, [2], 3)
+@example(3, rejecting_at(7), [3, 5, 7], 10)
+@example(64, rejecting_at(200), [3, 5], 150)
+def test_chain_equals_scalar_at_any_chunk_size(lanes, seed, bounds, samples):
+    with mock.patch.object(rng_module, "LANES", lanes):
+        assert lane_chain(seed, bounds, samples) == scalar_chain(seed, bounds, samples)
+
+
+def test_histogram_equals_scalar_across_three_chunks_with_a_rejection():
+    # order 6 draws 5 gaps a sample; the third gap of sample LANES + 10 is
+    # rejected, so its chunk keeps 10 lanes and that sample is redrawn alone
+    seed = rejecting_at(5 * (LANES + 10) + 2)
+    rng = SplitMix64(seed)
+    assert chunk_starts(rng, rng.below_chain(range(3, 12, 2), 2 * LANES + 5)) == [
+        0, LANES, LANES + 10, LANES + 11,
+    ]
+    assert sample_statistic_histogram(6, 2 * LANES + 5, seed) == (
+        verify._scalar_statistic_histogram(6, 2 * LANES + 5, seed)
+    )
 
 
 def test_bound_above_two_to_the_64_raises_before_drawing():
@@ -164,10 +237,6 @@ def test_bound_above_two_to_the_64_raises_before_drawing():
     with pytest.raises(ValueError):
         rng.below(2**64 + 1)
     assert rng.state == 5
-    for bounds in ([2**64 + 1], [3, 2**64 + 1]):
-        with pytest.raises(ValueError):
-            next(rng.below_lanes(bounds, 1))
-        assert rng.state == 5
 
 
 def test_bound_two_to_the_64_returns_the_raw_output():
@@ -270,8 +339,7 @@ def test_state_counts_the_draws_handed_out_not_the_buffered_ones():
     for draws in range(3, 1000):
         rng.next_uint64()
         assert handed_out() == draws
-    for _ in rng.below_lanes([3, 5], 4):
-        pass
+    assert len(list(rng.below_chain([3, 5], 4))) == 4
     assert handed_out() == 999 + 8
 
 
@@ -296,7 +364,7 @@ OPERATIONS = st.lists(
         st.tuples(st.just("below"), BOUNDS),
         st.tuples(st.just("state"), st.none()),
         st.tuples(st.just("set"), SEEDS),
-        st.tuples(st.just("lanes"), st.tuples(st.lists(BOUNDS, max_size=3), st.integers(0, 3))),
+        st.tuples(st.just("chain"), st.tuples(CHAIN_BOUNDS, st.integers(0, 3))),
     ),
     max_size=40,
 )
@@ -305,7 +373,7 @@ OPERATIONS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(SEEDS, OPERATIONS)
 @example(REJECTING_SEED, [("below", 3), ("set", REJECTING_SEED), ("below", 3)])
-@example(REJECTING_SEED, [("next", 7), ("lanes", ([3], 2)), ("below", 2**63 + 1)])
+@example(REJECTING_SEED, [("next", 7), ("chain", ([3], 2)), ("below", 2**63 + 1)])
 def test_buffered_generator_equals_textbook(seed, operations):
     rng, textbook = SplitMix64(seed), Textbook(seed)
     for op, arg in operations:
@@ -319,10 +387,10 @@ def test_buffered_generator_equals_textbook(seed, operations):
             assert rng.state == textbook.state
         elif op == "set":
             rng.state = textbook.state = arg
-        elif op == "lanes":
+        elif op == "chain":
             bounds, samples = arg
-            assert lane_draws(rng, bounds, samples) == [
-                [textbook.below(b) for b in bounds] for _ in range(samples)
+            assert list(rng.below_chain(bounds, samples)) == [
+                scalar_count(textbook, bounds) for _ in range(samples)
             ]
     assert rng.state == textbook.state
     assert rng.next_uint64() == textbook.next_uint64()
