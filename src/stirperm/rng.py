@@ -78,14 +78,9 @@ def _refill_table() -> tuple:
     """(ones, mask, state offsets, unpack) of a refill, built on first use.
     Lane s of the offsets is (_REFILL - s)*GAMMA: the last output of a
     refill is mixed in the lowest lane and unpacked first."""
-    ones = _ones(_REFILL)
+    ones = _pack([1] * _REFILL)
     offsets = _pack([(i * _GAMMA) & MASK64 for i in range(_REFILL, 0, -1)])
     return ones, ones * MASK64, offsets, struct.Struct("<" + "Q8x" * _REFILL).unpack
-
-
-def _ones(lanes: int) -> int:
-    """1 in each of ``lanes`` 128-bit lanes."""
-    return int.from_bytes(b"\1".ljust(16, b"\0") * lanes, "little")
 
 
 def _pack(values: Sequence[int]) -> int:
@@ -97,7 +92,7 @@ def _pack(values: Sequence[int]) -> int:
 def _chunk_constants(lanes: int) -> tuple[int, int, int, int]:
     """(ones, mask, high, ramp) of a chunk: 1, 2^64 - 1, 2^64 and s in
     each lane s."""
-    ones = _ones(lanes)
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * lanes, "little")
     return ones, ones * MASK64, ones << 64, _pack(range(lanes))
 
 
@@ -184,7 +179,7 @@ class SplitMix64:
                 state = (state + step) & mask
                 z = _mix(state, mask)
                 flags |= z + over
-                z -= (((z * ((1 << 64) // b)) >> 64) & mask) * b  # r: z mod b, or + b
+                z -= (((z * ((1 << 64) // b)) >> 64) & mask) * b  # z mod b, or that plus b
                 low = ones * b
                 t = z + room
                 # the parity of three carries: z mod b >= count

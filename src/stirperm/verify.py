@@ -185,9 +185,8 @@ def _suite_moments(p) -> list[CheckResult]:
         ok = m.variance == Fraction(2 * n * n - 2, 18 * n - 9)
         if n <= p["row_orders"]:
             # the exact row's variance (S0 S2 - S1^2) / S0^2, S_j = sum i^j T(n, i)
-            row = triangle.triangle_row(n)
-            s0, s1 = sum(row), sum(i * t for i, t in enumerate(row, start=1))
-            s2 = sum(i * i * t for i, t in enumerate(row, start=1))
+            row = tuple(enumerate(triangle.triangle_row(n), start=1))
+            s0, s1, s2 = (sum(i**j * t for i, t in row) for j in range(3))
             ok = ok and (s0 * s2 - s1 * s1) * (18 * n - 9) == (2 * n * n - 2) * s0 * s0
         variances.append((f"n={n}", ok))
     brute = []
@@ -312,8 +311,7 @@ def _suite_sampler(p) -> list[CheckResult]:
         )
     )
     seed = p["sampler_seeds"][0]
-    # three chunks of the lane kernel, the last one partial
-    samples = 2 * LANES + 5
+    samples = 2 * LANES + 5  # three chunks of the chain kernel, the last one partial
     rerun_same = distribution.sample_statistic_histogram(
         12, samples, seed
     ) == _scalar_statistic_histogram(12, samples, seed)

@@ -108,7 +108,9 @@ def test_rejection_branch_consumes_a_second_draw():
         ([7], 3000),  # two chunks, the second one partial
         (range(3, 1000, 2), 9),  # the histogram's bounds at order 500
         (range(3, 4099, 2), 3),  # 2,048 steps
-        ([chain_bound(k, k % 4) for k in range(1, 41)], 40),  # every edge kind
+        # the least bounds: every count can reach its bound less one
+        ([k + 1 for k in range(1, 2049)], 2),
+        ([2**64 - k for k in range(1, 2050)], 2),  # the largest bounds
         # 5,500 draws a sample, every bound far above any count
         ([2**64 - 5500, 2**63 + 1, 10**18, 3 * 2**61 + 7, 6000] * 1100, 2),
         ([], LANES + 1),
@@ -118,17 +120,17 @@ def test_rejection_branch_consumes_a_second_draw():
         ([5, 3], LANES),
         ([5, 3, 7], LANES + 1),
         ([3, 5, 7], 2 * LANES + 4),
-        # the least bounds: every count can reach its bound less one
-        ([2, 3, 4, 5], 40),
-        # the largest bounds, one of them a power of two that rejects nothing
-        ([2**64 - 1, 2**64 - 2, 2**62, 2**64 - 4], 40),
+        # edge bounds: the least k + 1 and the largest 2^64 - k, powers of two,
+        # which reject nothing, and 2^63 + 1, which rejects about half of all
+        # outputs
+        ([2, 2**64 - 2, 2**62, 5, 2**63 + 1, 2**64 - 6, 8], 40),
         ([3, 2**63 + 1, 10**18], 40),
     ],
 )
 @pytest.mark.parametrize(
     "seed", [1, REJECTING_SEED, LATE_REJECTING_SEED, MID_LANE_REJECTING_SEED]
 )
-def test_chain_equals_scalar_below_across_chunks(seed, bounds, samples):
+def test_kernel_equals_scalar_below_across_blocks(seed, bounds, samples):
     assert lane_chain(seed, bounds, samples) == scalar_chain(seed, bounds, samples)
 
 
@@ -165,7 +167,7 @@ def test_late_rejection_lands_in_the_third_chunk():
     assert chunk_starts(rng, rng.below_chain([7], 6000)) == [0, LANES, 2 * LANES, 5000, 5001]
 
 
-def test_chain_follows_draws_made_between_chunks():
+def test_kernel_follows_draws_made_between_chunks():
     rng, reference = SplitMix64(42), SplitMix64(42)
     bounds = range(3, 30, 2)
     for i, count in enumerate(rng.below_chain(bounds, 2 * LANES + 5), start=1):
@@ -176,7 +178,8 @@ def test_chain_follows_draws_made_between_chunks():
     assert rng.state == reference.state
 
 
-def test_a_chunk_moves_the_state_before_its_first_count():
+def test_unfinished_chunk_still_moves_the_state():
+    # a chunk moves the state past all its samples before its first count
     rng = SplitMix64(9)
     chain = rng.below_chain([3, 5], 3)
     expected, state = scalar_chain(9, [3, 5], 3)
@@ -185,17 +188,24 @@ def test_a_chunk_moves_the_state_before_its_first_count():
     assert list(chain) == expected[1:]
 
 
-@pytest.mark.parametrize(
-    "bounds",
-    [[0], [1], [3, -1], [3, 2], [2, 3, 3], [2**64], [3, 2**64 - 1], [2**64 + 1], [3, 2**64 + 1]],
-)
-def test_chain_refuses_bounds_before_drawing(bounds):
+def refused_before_drawing(bounds):
     rng = SplitMix64(5)
     rng.next_uint64()
     with pytest.raises(ValueError):
         next(rng.below_chain(bounds, 1))
-    assert rng.state == (5 + GAMMA) & MASK64
-    assert rng.next_uint64() == Textbook((5 + GAMMA) & MASK64).next_uint64()
+    after_one = (5 + GAMMA) & MASK64
+    return rng.state == after_one and rng.next_uint64() == Textbook(after_one).next_uint64()
+
+
+@pytest.mark.parametrize("bounds", [[0], [3, -1]])
+def test_kernel_rejects_nonpositive_bounds_before_drawing(bounds):
+    assert refused_before_drawing(bounds)
+
+
+# bound k must lie in k + 1..2^64 - k
+@pytest.mark.parametrize("bounds", [[1], [3, 2], [2, 3, 3], [2**64], [3, 2**64 - 1]])
+def test_kernel_refuses_a_bound_outside_its_range_before_drawing(bounds):
+    assert refused_before_drawing(bounds)
 
 
 CHAIN_BOUNDS = st.lists(st.integers(0, 3), max_size=6).map(
@@ -237,6 +247,8 @@ def test_bound_above_two_to_the_64_raises_before_drawing():
     with pytest.raises(ValueError):
         rng.below(2**64 + 1)
     assert rng.state == 5
+    for bounds in ([2**64 + 1], [3, 2**64 + 1]):
+        assert refused_before_drawing(bounds)
 
 
 def test_bound_two_to_the_64_returns_the_raw_output():
