@@ -99,47 +99,40 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def sign_at(self, numerator: int, denominator: int = 1) -> int:
-        """Exact sign of the value at numerator/denominator (denominator > 0).
+    def sign_at(self, numerator: int, *, shift: int = 0) -> int:
+        """Exact sign of the value at the dyadic numerator / 2^shift.
 
-        Homogeneous Horner in integers: the value times denominator^d, d the
-        degree, whose term of x^i is scaled by denominator^(d-i). One of four
-        loops is chosen from the point. A denominator with an odd factor > 1
-        keeps a running power of the denominator; an integer point needs no
-        scaling; at -1 / 2^s, the reversed polynomial is taken at -2^s, so
-        each step is one shift and one subtraction; at any other a / 2^s, the
-        term of x^i is shifted left by s(d-i) bits, and the only
-        multiplications are the accumulator's by the numerator.
+        Homogeneous Horner in integers: the value times 2^(shift * d), d the
+        degree. One of three loops is chosen from the point. At -1 / 2^shift
+        the reversed polynomial is taken at -2^shift, so each step is one
+        shift and one subtraction; at an integer point nothing is shifted; at
+        any other point the term of x^i is shifted left by shift * (d - i)
+        bits. The only multiplications are the accumulator's by the
+        numerator. Other rationals go through ``__call__``.
         """
-        if denominator <= 0:
-            raise ValueError("denominator must be positive")
+        if shift < 0:
+            raise ValueError("shift must be non-negative")
         coeffs = self._coeffs
         if not coeffs:
             return 0
-        s = (denominator & -denominator).bit_length() - 1
         terms = reversed(coeffs)
         acc = next(terms)
-        if denominator >> s > 1:
-            power = 1
-            for c in terms:
-                power *= denominator
-                acc = acc * numerator + c * power
-        elif not s:
-            for c in terms:
-                acc = acc * numerator + c
-        elif numerator == -1:
+        if numerator == -1:
             # 2^(sd) P(-2^-s) = (-1)^d R(-2^s), R(y) = y^d P(1/y): Horner on R
             # reads the coefficients from c_0 up
             acc = 0
             for c in coeffs:
-                acc = c - (acc << s)
+                acc = c - (acc << shift)
             if len(coeffs) % 2 == 0:
                 acc = -acc
-        else:
-            shift = 0
+        elif shift:
+            bits = 0
             for c in terms:
-                shift += s
-                acc = acc * numerator + (c << shift)
+                bits += shift
+                acc = acc * numerator + (c << bits)
+        else:
+            for c in terms:
+                acc = acc * numerator + c
         return (acc > 0) - (acc < 0)
 
     def __repr__(self) -> str:

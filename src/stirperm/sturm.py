@@ -16,8 +16,8 @@ while witnesses are built. A bracket is split at a power of two when its
 ends lie more than two binades apart, else at the dyadic with the fewest
 bits in its middle half; both come from bit lengths and one xor. t_0 is a
 power of two, doubled from order n-1's until R_n has the right sign, and
-at most the first power of two at or above Cauchy's root bound. Signs are
-taken at denominator 2^k, where ``sign_at`` shifts instead of multiplying.
+at most the first power of two at or above Cauchy's root bound. Each sign
+is taken at the pair (a, k) itself: ``sign_at`` shifts instead of multiplying.
 Each sign is taken once: order n keeps R_n's sign at every point it tried,
 and order n+1, which bisects R_n at many of the same points, reads them
 back, but only while the kept polynomial is the R_n it bisects. Points
@@ -65,7 +65,7 @@ def _fail(order: int, stage: str, expected, observed):
 def _sign(p: IntPolynomial, x: Dyadic, signs: dict[Dyadic, int]) -> int:
     """p's sign at x, taken once: ``signs`` holds p's signs found so far."""
     if (s := signs.get(x)) is None:
-        s = signs[x] = p.sign_at(x[0], 1 << x[1])
+        s = signs[x] = p.sign_at(x[0], shift=x[1])
     return s
 
 
@@ -155,22 +155,22 @@ class RealRootCertificate(NamedTuple):
 def certify_real_roots(n: int, width: Fraction | None = None) -> RealRootCertificate:
     """Certify P_n: brackets (t_j, t_(j+1)], with (u, 0], u = -2^-k, split off
     for the root at 0. ``width`` narrows them by bisecting on P_n's sign."""
-    if n < 1 or (width is not None and width <= 0):
+    if n < 1 or (width is not None and not width > 0):  # NaN is no width
         raise ValueError(f"need order >= 1 and width > 0, got {n} and {width}")
     points, p = _witnesses(n)[0], descent_polynomial(n)
     k = 0  # first try k = 1 - floor(log2(-t_(n-2))), t_(n-2) = a / 2^j
     if n > 1:
         a, j = points[-2]
         k = max(0, j + 2 - (-a).bit_length())
-    while p.sign_at(-1, 1 << k) >= 0:  # P_n = x R_n: R_n(u) > 0
+    while p.sign_at(-1, shift=k) >= 0:  # P_n = x R_n: R_n(u) > 0
         k += 1
     ends = [*_fractions(points)[:-1], _fraction((-1, k)), Fraction(0)]
     intervals = list(zip(ends, ends[1:]))
     for i, (lo, hi) in enumerate(intervals if width is not None else ()):
-        s_lo = p.sign_at(lo.numerator, lo.denominator)
+        s_lo = p.sign_at(lo.numerator, shift=lo.denominator.bit_length() - 1)
         while hi - lo > width:  # one root stays in (lo, hi], P_n(lo) != 0
             mid = (lo + hi) / 2
-            s_mid = p.sign_at(mid.numerator, mid.denominator)
+            s_mid = p.sign_at(mid.numerator, shift=mid.denominator.bit_length() - 1)
             lo, hi = (mid, hi) if s_mid == s_lo else (lo, mid)
         intervals[i] = (lo, hi)
     return RealRootCertificate(n, tuple(intervals))

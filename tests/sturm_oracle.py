@@ -32,6 +32,21 @@ def primitive(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(c // g for c in p.coefficients)
 
 
+def sign_at(p: IntPolynomial, x: Fraction) -> int:
+    """Sign of p at x = a / b: the sign of b^d p(a / b), d the degree, by
+    Horner in integers with a running power of b. The oracle's own
+    evaluation, so that it shares no code with the certificates it checks."""
+    if not p:
+        return 0
+    a, b = x.numerator, x.denominator
+    terms = reversed(p.coefficients)
+    acc, power = next(terms), 1
+    for c in terms:
+        power *= b
+        acc = acc * a + c * power
+    return (acc > 0) - (acc < 0)
+
+
 def sign_towards_infinity(p: IntPolynomial, positive: bool) -> int:
     """Sign of p(x) for x -> +inf (or -inf when positive=False)."""
     if not p:
@@ -103,8 +118,7 @@ class SturmChain:
         cached = self._cache.get(point)
         if cached is not None:
             return cached
-        num, den = point.numerator, point.denominator
-        count = _variations(p.sign_at(num, den) for p in self.polynomials)
+        count = _variations(sign_at(p, point) for p in self.polynomials)
         self._cache[point] = count
         return count
 

@@ -73,60 +73,78 @@ def test_scalar_multiplication_and_pow():
     assert 3 * p == IntPolynomial([3, -3])
 
 
+#: degree 34, roots at -3/8, -5/12 and 7/3 among others
+_TAIL = IntPolynomial([(-1) ** i * (i * i + 1) for i in range(32)])
+_Q = IntPolynomial([3, 8]) * IntPolynomial([5, 12]) * IntPolynomial([-7, 3]) * _TAIL
+
+
+def _sign(value) -> int:
+    return (value > 0) - (value < 0)
+
+
 def test_sign_at_matches_eval():
     p = IntPolynomial([-1, 0, 2])  # 2x^2 - 1
-    for num, den in ((0, 1), (1, 1), (-1, 1), (1, 2), (-7, 10), (5, 7)):
-        value = p(Fraction(num, den))
-        assert p.sign_at(num, den) == (value > 0) - (value < 0)
-    # degree 34, roots at -3/8, -5/12 and 7/3 among others
-    tail = IntPolynomial([(-1) ** i * (i * i + 1) for i in range(32)])
-    q = IntPolynomial([3, 8]) * IntPolynomial([5, 12]) * IntPolynomial([-7, 3]) * tail
+    for num, shift in ((0, 0), (1, 0), (-1, 0), (1, 1), (-7, 3), (5, 70)):
+        assert p.sign_at(num, shift=shift) == _sign(p(Fraction(num, 1 << shift)))
     numerators = (0, 1, -1, -3, -5, 7, 2**40 + 1, -(3**30))
-    denominators = (1, 2, 8, 2**45, 3, 12, 3 * 2**33, 7, 101, 3**21)
-    near_roots = [(-3 * 2**57 + e, 2**60) for e in (-1, 1)]
-    near_roots += [(-5 * 2**50 + e, 3 * 2**52) for e in (-1, 1)]
-    points = [(n, d) for n in numerators for d in denominators] + near_roots
-    for num, den in points:
-        value = q(Fraction(num, den))
-        assert q.sign_at(num, den) == (value > 0) - (value < 0), (num, den)
-    roots = [(-3, 8), (-5, 12), (7, 3), (-3 * 2**40, 2**43), (-5 * 2**30, 3 * 2**32)]
-    for num, den in roots + [(14, 6), (7 * 3**20, 3**21)]:  # lowest terms or not
-        assert q.sign_at(num, den) == 0, (num, den)
+    points = [(num, shift) for num in numerators for shift in (0, 1, 3, 33, 45)]
+    points += [(-3 * 2**57 + e, 60) for e in (-1, 1)]  # beside -3/8
+    for num, shift in points:
+        value = _Q(Fraction(num, 1 << shift))
+        assert _Q.sign_at(num, shift=shift) == _sign(value), (num, shift)
+    for num, shift in ((-3, 3), (-3 * 2**40, 43), (-6, 4)):  # lowest terms or not
+        assert _Q.sign_at(num, shift=shift) == 0, (num, shift)
+
+
+def test_eval_is_exact_at_odd_denominators():
+    # ``sign_at`` takes dyadic points only; other rationals go through here
+    for root in (Fraction(-5, 12), Fraction(7, 3)):
+        assert _Q(root) == 0
+    beside = [Fraction(-5 * 2**50 + e, 3 * 2**52) for e in (-1, 1)]  # about -5/12
+    signs = [_sign(_Q(x)) for x in beside]
+    assert signs == [_sign(sum(c * x**i for i, c in enumerate(_Q.coefficients))) for x in beside]
+    assert signs[0] == -signs[1]
+
+
+def test_sign_at_takes_a_non_negative_keyword_shift():
+    p = IntPolynomial([1, 1])
+    with pytest.raises(ValueError):
+        p.sign_at(1, shift=-1)
+    with pytest.raises(TypeError):  # the old call sign_at(numerator, denominator)
+        p.sign_at(1, 2)
 
 
 def _fraction_sign(p: IntPolynomial, x: Fraction) -> int:
     acc = Fraction(0)
     for c in reversed(p.coefficients):
         acc = acc * x + c
-    return (acc > 0) - (acc < 0)
+    return _sign(acc)
 
 
 wide_polys = st.lists(st.integers(-(10**20), 10**20), max_size=12).map(IntPolynomial)
 numerators = st.integers(-(10**6), 10**6)
-powers_of_two = st.integers(1, 70).map(lambda k: 1 << k)
-#: (numerator, denominator) for each of ``sign_at``'s loops
+#: (numerator, shift) for each of ``sign_at``'s loops: -1 / 2^k, k = 0 too;
+#: an integer, 0 among them; any other dyadic
 sign_points = st.one_of(
-    st.tuples(numerators, st.builds(lambda odd, k: (2 * odd + 1) << k,
-                                    st.integers(1, 10**4), st.integers(0, 12))),
-    st.tuples(numerators, st.just(1)),
-    st.just((0, 1)),
-    st.tuples(st.just(-1), powers_of_two),
-    st.tuples(numerators, powers_of_two),
+    st.tuples(st.just(-1), st.integers(0, 70)),
+    st.tuples(numerators, st.just(0)),
+    st.just((0, 0)),
+    st.tuples(numerators, st.integers(1, 70)),
 )
 
 
 @given(wide_polys, sign_points)
 def test_sign_at_matches_a_fraction_horner(p, point):
-    num, den = point
-    assert p.sign_at(num, den) == _fraction_sign(p, Fraction(num, den))
+    num, shift = point
+    assert p.sign_at(num, shift=shift) == _fraction_sign(p, Fraction(num, 1 << shift))
 
 
 @given(wide_polys, sign_points)
 def test_sign_at_is_zero_at_an_exact_root(p, point):
-    num, den = point
-    q = p * IntPolynomial([-num, den])  # vanishes at num / den
-    assert _fraction_sign(q, Fraction(num, den)) == 0
-    assert q.sign_at(num, den) == 0
+    num, shift = point
+    q = p * IntPolynomial([-num, 1 << shift])  # vanishes at num / 2^shift
+    assert _fraction_sign(q, Fraction(num, 1 << shift)) == 0
+    assert q.sign_at(num, shift=shift) == 0
 
 
 @given(polys, polys, rationals)

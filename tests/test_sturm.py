@@ -3,6 +3,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sturm_oracle import (
     SturmChain,
@@ -12,6 +13,7 @@ from sturm_oracle import (
     pseudo_remainder,
     refine_interval,
     root_magnitude_bound,
+    sign_at,
     sign_towards_infinity,
 )
 
@@ -61,7 +63,16 @@ def test_pseudo_remainder_has_exact_remainder_signs(a, b):
     for point in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 3)):
         exact_value = sum(c * point**i for i, c in enumerate(exact))
         sign = (exact_value > 0) - (exact_value < 0)
-        assert rem.sign_at(point.numerator, point.denominator) == sign
+        assert sign_at(rem, point) == sign
+
+
+@given(
+    st.lists(st.integers(-(10**20), 10**20), max_size=12).map(IntPolynomial),
+    st.fractions(max_denominator=10**6),
+)
+def test_oracle_sign_matches_the_fraction_horner(p, x):
+    value = p(x)
+    assert sign_at(p, x) == (value > 0) - (value < 0)
 
 
 def test_sign_towards_infinity():
@@ -163,8 +174,7 @@ def test_certificate_intervals_disjoint_with_sign_change():
     for i in range(len(intervals) - 1):
         assert intervals[i][1] <= intervals[i + 1][0]
     for lo, hi in intervals:
-        s_lo = p.sign_at(lo.numerator, lo.denominator)
-        s_hi = p.sign_at(hi.numerator, hi.denominator)
+        s_lo, s_hi = sign_at(p, lo), sign_at(p, hi)
         assert s_lo != 0  # left endpoints are never roots (half-open)
         assert s_lo * s_hi <= 0
 
@@ -352,6 +362,16 @@ def test_width_refinement_keeps_one_root_per_interval():
         certify_real_roots(3, width=Fraction(0))
 
 
+def test_nan_width_is_refused():
+    # NaN fails every comparison, so ``width <= 0`` alone let it through
+    with pytest.raises(ValueError):
+        certify_real_roots(4, width=float("nan"))
+
+
+def test_infinite_width_leaves_the_brackets_unrefined():
+    assert certify_real_roots(4, width=float("inf")) == certify_real_roots(4)
+
+
 # --- identity with the certifier before signs were carried, and its cost ---
 
 #: sha256 digests taken from the certifier before signs were carried across
@@ -385,18 +405,24 @@ def test_width_may_be_a_float():
         assert certify_real_roots(n, width=1e-3).isolating_intervals == exact
 
 
-def test_witnesses_take_each_sign_once(monkeypatch):
-    # before signs were carried across orders: 4,057 evaluations
+def _count_signs(monkeypatch) -> list[int]:
+    """Start the walk cold and count every call of ``IntPolynomial.sign_at``."""
     monkeypatch.setattr(sturm_module, "_WITNESSES", {})
     monkeypatch.setattr(sturm_module, "_CARRIED", (IntPolynomial(), {}))
     calls = [0]
-    sign_at = IntPolynomial.sign_at
+    kernel = IntPolynomial.sign_at
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         calls[0] += 1
-        return sign_at(self, *args)
+        return kernel(self, *args, **kwargs)
 
     monkeypatch.setattr(IntPolynomial, "sign_at", counted)
+    return calls
+
+
+def test_witnesses_take_each_sign_once(monkeypatch):
+    # before signs were carried across orders: 4,057 evaluations
+    calls = _count_signs(monkeypatch)
     sturm_module._witnesses(40)
     assert calls[0] <= 2929
 
@@ -404,17 +430,22 @@ def test_witnesses_take_each_sign_once(monkeypatch):
 def test_certify_sweep_takes_every_sign_through_sign_at(monkeypatch):
     # the bench counts ``polynomial.sign_at`` on this sweep: a kernel that
     # bypassed the name would leave the count short
-    monkeypatch.setattr(sturm_module, "_WITNESSES", {})
-    monkeypatch.setattr(sturm_module, "_CARRIED", (IntPolynomial(), {}))
-    calls = [0]
-    sign_at = IntPolynomial.sign_at
-
-    def counted(self, *args):
-        calls[0] += 1
-        return sign_at(self, *args)
-
-    monkeypatch.setattr(IntPolynomial, "sign_at", counted)
+    calls = _count_signs(monkeypatch)
     for n in range(2, 41):
         certify_real_roots(n)
         interlace_certificate(n)
     assert calls[0] == 3020
+    # a --width run adds, per interval, the sign at its lower end and one
+    # per halving
+    width = Fraction(1, 1024)
+    for n in range(2, 41):
+        before = calls[0]
+        intervals = certify_real_roots(n).isolating_intervals
+        expected = calls[0] - before
+        for lo, hi in intervals:
+            expected += 1
+            while hi - lo > width:
+                hi, expected = (lo + hi) / 2, expected + 1
+        before = calls[0]
+        certify_real_roots(n, width=width)
+        assert calls[0] - before == expected, n
