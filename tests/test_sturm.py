@@ -363,7 +363,7 @@ def test_width_refinement_keeps_one_root_per_interval():
 
 
 def test_nan_width_is_refused():
-    # NaN fails every comparison, so ``width <= 0`` alone let it through
+    # NaN compares false both ways: it is neither above 0 nor caught by ``<= 0``
     with pytest.raises(ValueError):
         certify_real_roots(4, width=float("nan"))
 
