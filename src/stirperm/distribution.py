@@ -29,7 +29,22 @@ same float, that float is the one the exact row gives, and elsewhere the
 term |F - Phi| is at most the larger of its two end terms, since float
 subtraction is monotone too. The distance is certified when no such bound
 passes the largest term known exactly, which is then the distance. The
-exact row, with slack 0, always certifies.
+exact row, with slack 0, always certifies; it is read at every point with
+a nonzero count.
+
+A row with slack is read on its band [lo, hi] of nonzero entries alone,
+about 22 sigma wide (255 of 1200 entries, 399 of 3000), and the support
+points and Phi are evaluated only there. Every prefix sum Q left of lo is
+0, so each exact CDF value there, the one below lo too, lies in
+[0, delta/S]; right of hi each lies in [1 - delta/S, 1]. Phi increases, so
+each term on the left tail is at most max(delta/S, Phi(t_(lo-1))), and each
+on the right at most max(delta/S, 1 - Phi(t_(hi+1))): one Phi per tail, at
+its innermost point. Twice the larger bound joins the uncertain terms:
+libm's erfc is accurate but not proven monotone, and the factor 2 is the
+margin that keeps every tail term of the exact row below the bound. So a
+float the band certifies is still the exact row's, the one a scan of every
+point would certify. A tail bound above the largest exact term leaves the
+row uncertified, and the next enclosure is tried.
 
 The pmf floats that ``normality --plot-out`` draws are read the same way,
 first from a fixed-point row 1074 bits wider, whose every enclosure is
@@ -212,19 +227,23 @@ def _standardized_support(n: int) -> tuple[float, ...]:
     return tuple(_standardized_point(k, n) for k in range(1, n + 1))
 
 
-def _sup_distance(counts, total: int, support, slack: int = 0) -> float | None:
+def _sup_distance(
+    counts, total: int, support, slack: int = 0, doubt: float = 0.0
+) -> float | None:
     """Sup distance between the step CDF with mass count/total at each
     standardized point and the standard normal CDF, evaluated from both
     sides of every jump. Int true division of the integer prefix sums rounds
     each exact CDF value correctly, as float(Fraction) would.
 
-    With a ``slack``, each exact prefix sum is only known to lie in
-    [Q, Q + slack] for the prefix sum Q of ``counts``, and every point is
-    evaluated, zero counts included. The result is certified as described
-    in the module docstring, and None when it cannot be."""
-    worst = doubt = 0.0  # the largest term known exactly, and bound on the rest
+    With a ``slack``, each exact prefix sum, the one below the first jump
+    too, is only known to lie in [Q, Q + slack] for the prefix sum Q of
+    ``counts``, and every point passed is evaluated, zero counts included.
+    ``doubt`` bounds the terms of any jumps not passed. The result is
+    certified as described in the module docstring, and None when it
+    cannot be."""
+    worst = 0.0  # the largest term known exactly; doubt bounds the rest
     seen = 0
-    before = (0.0, 0.0)  # the CDF below the next jump, at both ends
+    before = (0.0, slack / total)  # the CDF below the next jump, at both ends
     for count, t in zip(counts, support):
         if count or slack:
             phi = normal_cdf(t)
@@ -243,12 +262,28 @@ def ks_distance_exact(n: int) -> float:
     """Sup distance between the standardized exact distribution's step CDF
     and the standard normal CDF, from the first of
     ``triangle.row_enclosures(n)`` that certifies it."""
-    support = _standardized_support(n)
-    distances = (
-        _sup_distance(row.entries, row.scale, support, row.slack)
-        for row in row_enclosures(n)
-    )
-    return next(d for d in distances if d is not None)
+    return next(d for d in map(_row_distance, row_enclosures(n)) if d is not None)
+
+
+def _row_distance(row: FixedRow) -> float | None:
+    """``_sup_distance`` of one enclosure, None when it does not certify. A
+    row with slack is read on its band of nonzero entries alone, and each
+    zero tail beside the band is bounded by one normal CDF value at its
+    innermost point (see the module docstring)."""
+    n, total, entries, slack = row
+    if not slack:
+        return _sup_distance(entries, total, _standardized_support(n))
+    # the band is entries[lo:hi], points lo + 1..hi; the tails end at the
+    # points lo and hi + 1
+    lo = entries.index(next(filter(None, entries)))
+    hi = n - entries[::-1].index(next(filter(None, reversed(entries))))
+    tail = slack / total  # the exact CDF's distance from 0 or 1 on a tail
+    if lo:
+        tail = max(tail, normal_cdf(_standardized_point(lo, n)))
+    if hi < n:
+        tail = max(tail, 1.0 - normal_cdf(_standardized_point(hi + 1, n)))
+    support = [_standardized_point(k, n) for k in range(lo + 1, hi + 1)]
+    return _sup_distance(entries[lo:hi], total, support, slack, 2.0 * tail)
 
 
 #: Extra bits of the fixed-point row behind ``pmf_floats``: 2^-1074 is the

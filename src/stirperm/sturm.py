@@ -154,7 +154,9 @@ class RealRootCertificate(NamedTuple):
 
 def certify_real_roots(n: int, width: Fraction | None = None) -> RealRootCertificate:
     """Certify P_n: brackets (t_j, t_(j+1)], with (u, 0], u = -2^-k, split off
-    for the root at 0. ``width`` narrows them by bisecting on P_n's sign."""
+    for the root at 0. ``width`` narrows them by bisecting on P_n's sign,
+    taken at the midpoints alone: the witnesses' alternation gives it at
+    every lower end, so a bracket at most ``width`` wide takes no sign."""
     if n < 1 or (width is not None and not width > 0):  # NaN is no width
         raise ValueError(f"need order >= 1 and width > 0, got {n} and {width}")
     points, p = _witnesses(n)[0], descent_polynomial(n)
@@ -167,7 +169,8 @@ def certify_real_roots(n: int, width: Fraction | None = None) -> RealRootCertifi
     ends = [*_fractions(points)[:-1], _fraction((-1, k)), Fraction(0)]
     intervals = list(zip(ends, ends[1:]))
     for i, (lo, hi) in enumerate(intervals if width is not None else ()):
-        s_lo = p.sign_at(lo.numerator, shift=lo.denominator.bit_length() - 1)
+        # P_n = x R_n has sign (-1)^(n-i) at t_i < 0, and at u < 0 (i = n - 1)
+        s_lo = -1 if (n - i) % 2 else 1
         while hi - lo > width:  # one root stays in (lo, hi], P_n(lo) != 0
             mid = (lo + hi) / 2
             s_mid = p.sign_at(mid.numerator, shift=mid.denominator.bit_length() - 1)

@@ -40,7 +40,7 @@ above it.
 An entry whose two parents are 0 floors to 0, so a zeroed tail stays zero:
 ``fixed_row`` runs the step on the nonzero band alone, one entry wider on
 the right, trims zeros at both ends and pads the band to the full-width row,
-bit for bit. The band is about 21 sigma wide (239 of 1200 entries, 379 of
+bit for bit. The band is about 22 sigma wide (255 of 1200 entries, 399 of
 3000), so the row costs about n^1.5, not n^2: 65 ms at order 1200 and 0.20 s
 at 3000, against 0.15 and 0.87 s at full width (2-core host). Since B is the
 same for every order, a row is a function of n alone, and ``fixed_row``

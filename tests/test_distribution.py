@@ -217,13 +217,19 @@ def test_ks_exact_bit_identical_to_fraction_reference(n):
 
 
 #: ks_distance_exact(n).hex() and the argmax, frozen from the exact rows
-#: (the floats are bench/golden.json's too)
+#: (the floats up to 1200 are bench/golden.json's too; 3000's is the one
+#: that ``normality --n 3000`` printed from the exact row, pinned in
+#: test_cli's _PLOT_DIGESTS)
 _EXACT_ROUTE = {
     500: ("0x1.bff269c80d850p-6", (334,)),
     600: ("0x1.985cb9a98e9e0p-6", (400,)),
     800: ("0x1.6235fc9f35a90p-6", (534,)),
     1200: ("0x1.2109602b60500p-6", (800,)),
+    3000: ("0x1.6dd1be4f58200p-7", (2000,)),
 }
+#: the exact row of order 3000 takes 12-18 s to build, so only the orders
+#: below it re-derive their frozen values from the exact route
+_EXACT_ROUTE_REBUILT = (500, 600, 800, 1200)
 
 
 def _refuse_exact_row(n):
@@ -250,12 +256,68 @@ def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
         assert (ks_distance_exact(n).hex(), locate_mode(n)) == (ks_hex, mode), n
 
 
+def test_fixed_row_distance_reads_the_band_and_one_point_per_tail(monkeypatch):
+    # Phi is evaluated at the nonzero band's points and at the innermost
+    # point of each zero tail, never elsewhere in the tails
+    n = 1200
+    row = triangle.fixed_row(n)
+    band = [k for k, q in enumerate(row.entries, start=1) if q]
+    lo, hi = band[0], band[-1]
+    assert (1 < lo, hi < n, len(band)) == (True, True, hi - lo + 1)
+    support = distribution._standardized_support(n)
+    points, real_cdf = [], distribution.normal_cdf
+    monkeypatch.setattr(distribution, "normal_cdf", lambda t: points.append(t) or real_cdf(t))
+    assert ks_distance_exact(n).hex() == _EXACT_ROUTE[n][0]
+    assert sorted(points) == list(support[lo - 2 : hi + 1])
+
+
+def _two_tailed_row(n, masses):
+    """A synthetic order-n enclosure of scale 2^96 and slack 1: entry k
+    carries the share masses[k] of the rest, and every other entry is 0."""
+    scale = 1 << 96
+    entries = [0] * n
+    for k, share in masses.items():
+        entries[k - 1] = (scale - 1) * share.numerator // share.denominator
+    entries[max(masses) - 1] += scale - 1 - sum(entries)
+    return triangle.FixedRow(n, scale, tuple(entries), 1)
+
+
+@pytest.mark.parametrize(
+    "masses",
+    [
+        # left tail 1..8: 2 Phi(t_8) = 0.777 passes the largest band term,
+        # |1/4 - Phi(t_12)| = 0.749, and 2 Phi(t_1) does not
+        {9: Fraction(1, 4), 12: Fraction(3, 4)},
+        # right tail 8..12: 2 (1 - Phi(t_8)) = 1.22 passes the largest band
+        # term, 1 - Phi(t_7) = 0.872; 2 (1 - Phi(t_12)) and the left tail's
+        # 2 Phi(t_6) = 0.047 do not
+        {7: Fraction(1)},
+    ],
+    ids=["left-tail", "right-tail"],
+)
+def test_tail_bound_above_the_band_terms_leaves_the_row_uncertified(monkeypatch, masses):
+    n = 12
+    row = _two_tailed_row(n, masses)
+    lo, hi = min(masses), max(masses)
+    support = distribution._standardized_support(n)
+    # the band's own terms certify: only a tail bound holds the row back
+    band = row.entries[lo - 1 : hi]
+    assert distribution._sup_distance(band, row.scale, support[lo - 1 : hi], 1) is not None
+    assert distribution._row_distance(row) is None
+    # so the distance moves on to the next enclosure: here the same entries
+    # as an exact row of scale 2^96 - 1
+    exact = row._replace(scale=row.scale - 1, slack=0)
+    monkeypatch.setattr(distribution, "row_enclosures", lambda n: iter((row, exact)))
+    assert ks_distance_exact(n) == distribution._sup_distance(exact.entries, exact.scale, support)
+
+
 def test_exact_route_gives_the_frozen_values(monkeypatch):
     # the rows behind every fallback, at the orders that now take the fixed
     # route by default
     monkeypatch.setattr(triangle, "_EXACT_FIRST_ORDERS", 10**30)
     monkeypatch.setattr(triangle, "fixed_row", _refuse_fixed_row)
-    for n, (ks_hex, argmax) in _EXACT_ROUTE.items():
+    for n in _EXACT_ROUTE_REBUILT:
+        ks_hex, argmax = _EXACT_ROUTE[n]
         assert ks_distance_exact(n).hex() == ks_hex, n
         assert locate_mode(n).argmax_indices == argmax, n
 
@@ -288,8 +350,7 @@ def test_uncertified_fixed_row_falls_back_to_the_exact_row(monkeypatch):
     monkeypatch.setattr(triangle, "_last_fixed", None)  # a row of the full width
     fixed = triangle.fixed_row(n)
     assert fixed.scale == 1 << bits
-    support = distribution._standardized_support(n)
-    assert distribution._sup_distance(fixed.entries, fixed.scale, support, fixed.slack) is None
+    assert distribution._row_distance(fixed) is None
     top = max(fixed.entries)
     assert sum(q + fixed.slack >= top for q in fixed.entries) > 1  # no single peak
     assert triangle._argmax(fixed) is None

@@ -18,7 +18,7 @@ from sturm_oracle import SturmChain
 
 from stirperm.cli import main
 from stirperm.polynomial import IntPolynomial
-from stirperm.verify import _derivative_polynomials
+from stirperm.verify import _RANGES, _derivative_polynomials
 
 
 @functools.cache
@@ -92,8 +92,10 @@ def _roots(capsys, n: int, width: str | None = None) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
-def test_checker_accepts_every_order_to_forty(capsys):
-    for n in range(2, 41):
+def test_checker_accepts_every_order_verify_certifies(capsys):
+    # the orders 2..130 of ``verify --suite realroots`` (order 1 has no
+    # interlacing to print)
+    for n in range(2, _RANGES["certify_orders"][0] + 1):
         check_roots(_roots(capsys, n), n)
 
 

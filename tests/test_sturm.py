@@ -435,17 +435,52 @@ def test_certify_sweep_takes_every_sign_through_sign_at(monkeypatch):
         certify_real_roots(n)
         interlace_certificate(n)
     assert calls[0] == 3020
-    # a --width run adds, per interval, the sign at its lower end and one
-    # per halving
+    # a --width run adds one sign per halving
     width = Fraction(1, 1024)
     for n in range(2, 41):
         before = calls[0]
         intervals = certify_real_roots(n).isolating_intervals
         expected = calls[0] - before
         for lo, hi in intervals:
-            expected += 1
             while hi - lo > width:
                 hi, expected = (lo + hi) / 2, expected + 1
         before = calls[0]
         certify_real_roots(n, width=width)
         assert calls[0] - before == expected, n
+
+
+def test_width_takes_signs_at_the_midpoints_alone(monkeypatch):
+    # the witnesses fix P_n's sign at every lower end, so past the search
+    # for u = -2^-k (2 signs at order 30) only the midpoints take one; a
+    # sign at each lower end made these 2, 32 and 57
+    calls = _count_signs(monkeypatch)
+    sturm_module._witnesses(30)
+    counts = []
+    for width in (None, float("inf"), Fraction(1, 3)):
+        calls[0] = 0
+        certify_real_roots(30, width=width)
+        counts.append(calls[0])
+    assert counts == [2, 2, 27]
+
+
+def _newton_holds(coefficients) -> bool:
+    """Newton's inequalities for a_0 + a_1 x + ... + a_d x^d:
+    a_k^2 k (d - k) >= a_(k-1) a_(k+1) (k + 1)(d - k + 1) for 0 < k < d.
+    Every polynomial with only real roots meets them, so a failure would
+    refute real-rootedness; they prove nothing."""
+    a, d = coefficients, len(coefficients) - 1
+    return all(
+        a[k] * a[k] * k * (d - k) >= a[k - 1] * a[k + 1] * (k + 1) * (d - k + 1)
+        for k in range(1, d)
+    )
+
+
+def test_newtons_inequalities_hold_on_every_row_and_fail_off_the_real_line():
+    # R_n = P_n / x has the coefficients T(n, 1..n); orders 3..300 are the
+    # ones ``roots`` certifies, and 1200 lies above ROOTS_ORDER_CAP
+    from stirperm.cli import ROOTS_ORDER_CAP
+
+    for n in [*range(3, ROOTS_ORDER_CAP + 1), 1200]:
+        assert _newton_holds(triangle_row(n)), n
+    assert ROOTS_ORDER_CAP < 1200
+    assert not _newton_holds((1, 1, 1))  # x^2 + x + 1: 1 < 4 at k = 1
