@@ -263,7 +263,7 @@ def test_fixed_row_distance_reads_the_band_and_one_point_per_tail(monkeypatch):
     row = triangle.fixed_row(n)
     band = [k for k, q in enumerate(row.entries, start=1) if q]
     lo, hi = band[0], band[-1]
-    assert (1 < lo, hi < n, len(band)) == (True, True, hi - lo + 1)
+    assert 1 < lo and hi < n and len(band) == hi - lo + 1  # one band, two tails
     support = distribution._standardized_support(n)
     points, real_cdf = [], distribution.normal_cdf
     monkeypatch.setattr(distribution, "normal_cdf", lambda t: points.append(t) or real_cdf(t))
