@@ -193,14 +193,13 @@ def _write_chunks(out_path, chunks) -> None:
             fh.writelines(chunks)
 
 
-def _add_common(parser, fmt=True, out=True) -> None:
+def _add_common(parser, fmt=True) -> None:
     if fmt:
         parser.add_argument(
             "--format", choices=("csv", "json"), default="csv",
             help="output format (default csv)",
         )
-    if out:
-        parser.add_argument("--out", help="write output to this file instead of stdout")
+    parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:

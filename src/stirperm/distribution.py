@@ -19,6 +19,9 @@ is (k - mean)/sigma, whose square is the exact rational
 
 so each point is one correctly rounded int true division, one sqrt and a
 sign, with no gcd: the same float that float(Fraction) of the square gives.
+Every distance computes its points in one loop, ``_sup_distance``, and only
+where it reads them: at a nonzero count, or at every point of a row with
+slack, so the Monte-Carlo distance standardizes only the values drawn.
 
 The exact distance is the float that the exact row gives, whichever row it
 is read from. It is read from the first of ``triangle.row_enclosures(n)``
@@ -33,8 +36,8 @@ exact row, with slack 0, always certifies; it is read at every point with
 a nonzero count.
 
 A row with slack is read on its band [lo, hi] of nonzero entries alone,
-about 22 sigma wide (255 of 1200 entries, 399 of 3000), and the support
-points and Phi are evaluated only there. Every prefix sum Q left of lo is
+about 22 sigma wide (255 of 1200 entries, 399 of 3000), and the points
+and Phi are evaluated only there. Every prefix sum Q left of lo is
 0, so each exact CDF value there, the one below lo too, lies in
 [0, delta/S]; right of hi each lies in [1 - delta/S, 1]. Phi increases, so
 each term on the left tail is at most max(delta/S, Phi(t_(lo-1))), and each
@@ -219,34 +222,28 @@ def _standardized_point(k: int, n: int) -> float:
     return copysign(sqrt(offset * offset * (2 * n - 1) / (2 * (n * n - 1))), offset)
 
 
-def _standardized_support(n: int) -> tuple[float, ...]:
-    if n < 2:
-        raise ValueError(
-            f"order must be >= 2 to standardize (variance is 0 at 1), got {n}"
-        )
-    return tuple(_standardized_point(k, n) for k in range(1, n + 1))
-
-
 def _sup_distance(
-    counts, total: int, support, slack: int = 0, doubt: float = 0.0
+    counts, total: int, n: int, first: int = 1, slack: int = 0, doubt: float = 0.0
 ) -> float | None:
-    """Sup distance between the step CDF with mass count/total at each
-    standardized point and the standard normal CDF, evaluated from both
-    sides of every jump. Int true division of the integer prefix sums rounds
-    each exact CDF value correctly, as float(Fraction) would.
+    """Sup distance between the step CDF with mass count/total at the
+    standardized points of order n of the values first, first + 1, ... and
+    the standard normal CDF, evaluated from both sides of every jump. Each
+    point is computed here, and only where it is read: at a nonzero count,
+    or at every value passed when there is slack. Int true division of the
+    integer prefix sums rounds each exact CDF value correctly, as
+    float(Fraction) would.
 
     With a ``slack``, each exact prefix sum, the one below the first jump
     too, is only known to lie in [Q, Q + slack] for the prefix sum Q of
-    ``counts``, and every point passed is evaluated, zero counts included.
-    ``doubt`` bounds the terms of any jumps not passed. The result is
-    certified as described in the module docstring, and None when it
-    cannot be."""
+    ``counts``. ``doubt`` bounds the terms of any jumps not passed. The
+    result is certified as described in the module docstring, and None when
+    it cannot be."""
     worst = 0.0  # the largest term known exactly; doubt bounds the rest
     seen = 0
     before = (0.0, slack / total)  # the CDF below the next jump, at both ends
-    for count, t in zip(counts, support):
+    for k, count in enumerate(counts, first):
         if count or slack:
-            phi = normal_cdf(t)
+            phi = normal_cdf(_standardized_point(k, n))
             seen += count
             after = (seen / total, (seen + slack) / total)
             for low, high in (before, after):
@@ -262,6 +259,8 @@ def ks_distance_exact(n: int) -> float:
     """Sup distance between the standardized exact distribution's step CDF
     and the standard normal CDF, from the first of
     ``triangle.row_enclosures(n)`` that certifies it."""
+    if n < 2:
+        raise ValueError(f"order must be >= 2 to standardize, got {n}")
     return next(d for d in map(_row_distance, row_enclosures(n)) if d is not None)
 
 
@@ -272,7 +271,7 @@ def _row_distance(row: FixedRow) -> float | None:
     innermost point (see the module docstring)."""
     n, total, entries, slack = row
     if not slack:
-        return _sup_distance(entries, total, _standardized_support(n))
+        return _sup_distance(entries, total, n)
     # the band is entries[lo:hi], points lo + 1..hi; the tails end at the
     # points lo and hi + 1
     lo = entries.index(next(filter(None, entries)))
@@ -282,8 +281,7 @@ def _row_distance(row: FixedRow) -> float | None:
         tail = max(tail, normal_cdf(_standardized_point(lo, n)))
     if hi < n:
         tail = max(tail, 1.0 - normal_cdf(_standardized_point(hi + 1, n)))
-    support = [_standardized_point(k, n) for k in range(lo + 1, hi + 1)]
-    return _sup_distance(entries[lo:hi], total, support, slack, 2.0 * tail)
+    return _sup_distance(entries[lo:hi], total, n, lo + 1, slack, 2.0 * tail)
 
 
 #: Extra bits of the fixed-point row behind ``pmf_floats``: 2^-1074 is the
@@ -338,8 +336,4 @@ def ks_distance_empirical(n: int, samples: int, seed: int) -> float:
     if n < 2:
         raise ValueError(f"order must be >= 2 to standardize, got {n}")
     histogram = sample_statistic_histogram(n, samples, seed)
-    # the sup distance reads a point only where its count is nonzero
-    support = (
-        _standardized_point(k, n) if histogram[k] else 0.0 for k in range(1, n + 1)
-    )
-    return _sup_distance(histogram[1:], samples, support)
+    return _sup_distance(histogram[1:], samples, n)

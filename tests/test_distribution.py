@@ -155,13 +155,14 @@ def test_top_value_pairing_is_free():
 
 
 def test_standardized_support_is_increasing_and_centered():
-    support = distribution._standardized_support(30)
+    support = [distribution._standardized_point(k, 30) for k in range(1, 31)]
     assert all(a < b for a, b in zip(support, support[1:]))
+    assert support[19] < 0 < support[20]  # values 20 and 21 straddle the mean 61/3
     row = triangle.triangle_row(30)
     mean = Fraction(sum(k * c for k, c in enumerate(row, start=1)), double_factorial(30))
     assert mean == moments_exact(30).mean
     with pytest.raises(ValueError):
-        distribution._standardized_support(1)  # the variance is 0
+        ks_distance_exact(1)  # the variance is 0
 
 
 def _fraction_point(k, mean, variance):
@@ -194,19 +195,28 @@ def test_ks_exact_order_two_against_two_atom_oracle():
     assert abs(ks_distance_exact(2) - oracle) < 1e-12
 
 
-def _ks_fraction_reference(n):
-    """The exact distance from a Fraction pmf: each running Fraction CDF
-    value is converted to float where it meets the normal CDF."""
-    population = double_factorial(n)
+def _fraction_distance(counts, n):
+    """The sup distance of the order-n histogram ``counts`` (values 1..n)
+    from a Fraction pmf, over both sides of every jump: each running
+    Fraction CDF value is converted to float where it meets the normal CDF,
+    at a point from ``_fraction_point``."""
+    m = moments_exact(n)
+    population = sum(counts)
     worst = 0.0
     cumulative = Fraction(0)
-    for count, t in zip(triangle.triangle_row(n), distribution._standardized_support(n)):
-        phi = normal_cdf(t)
-        below = abs(float(cumulative) - phi)
-        cumulative += Fraction(count, population)
-        above = abs(float(cumulative) - phi)
-        worst = max(worst, below, above)
+    for k, count in enumerate(counts, start=1):
+        if count:
+            phi = normal_cdf(_fraction_point(k, m.mean, m.variance))
+            below = abs(float(cumulative) - phi)
+            cumulative += Fraction(count, population)
+            above = abs(float(cumulative) - phi)
+            worst = max(worst, below, above)
     return worst
+
+
+def _ks_fraction_reference(n):
+    """The exact distance from the exact row's Fraction pmf."""
+    return _fraction_distance(triangle.triangle_row(n), n)
 
 
 @pytest.mark.parametrize("n", [*range(2, 61), 400])
@@ -256,6 +266,13 @@ def test_fixed_route_certifies_the_exact_distance_and_mode(monkeypatch):
         assert (ks_distance_exact(n).hex(), locate_mode(n)) == (ks_hex, mode), n
 
 
+def _count_normal_cdf(monkeypatch):
+    """Record every point at which the distribution module evaluates Phi."""
+    calls, real_cdf = [], distribution.normal_cdf
+    monkeypatch.setattr(distribution, "normal_cdf", lambda t: calls.append(t) or real_cdf(t))
+    return calls
+
+
 def test_fixed_row_distance_reads_the_band_and_one_point_per_tail(monkeypatch):
     # Phi is evaluated at the nonzero band's points and at the innermost
     # point of each zero tail, never elsewhere in the tails
@@ -264,11 +281,11 @@ def test_fixed_row_distance_reads_the_band_and_one_point_per_tail(monkeypatch):
     band = [k for k, q in enumerate(row.entries, start=1) if q]
     lo, hi = band[0], band[-1]
     assert 1 < lo and hi < n and len(band) == hi - lo + 1  # one band, two tails
-    support = distribution._standardized_support(n)
-    points, real_cdf = [], distribution.normal_cdf
-    monkeypatch.setattr(distribution, "normal_cdf", lambda t: points.append(t) or real_cdf(t))
+    points = _count_normal_cdf(monkeypatch)
     assert ks_distance_exact(n).hex() == _EXACT_ROUTE[n][0]
-    assert sorted(points) == list(support[lo - 2 : hi + 1])
+    assert sorted(points) == [
+        distribution._standardized_point(k, n) for k in range(lo - 1, hi + 2)
+    ]
 
 
 def _two_tailed_row(n, masses):
@@ -299,16 +316,15 @@ def test_tail_bound_above_the_band_terms_leaves_the_row_uncertified(monkeypatch,
     n = 12
     row = _two_tailed_row(n, masses)
     lo, hi = min(masses), max(masses)
-    support = distribution._standardized_support(n)
     # the band's own terms certify: only a tail bound holds the row back
     band = row.entries[lo - 1 : hi]
-    assert distribution._sup_distance(band, row.scale, support[lo - 1 : hi], 1) is not None
+    assert distribution._sup_distance(band, row.scale, n, lo, 1) is not None
     assert distribution._row_distance(row) is None
     # so the distance moves on to the next enclosure: here the same entries
     # as an exact row of scale 2^96 - 1
     exact = row._replace(scale=row.scale - 1, slack=0)
     monkeypatch.setattr(distribution, "row_enclosures", lambda n: iter((row, exact)))
-    assert ks_distance_exact(n) == distribution._sup_distance(exact.entries, exact.scale, support)
+    assert ks_distance_exact(n) == distribution._sup_distance(exact.entries, exact.scale, n)
 
 
 def test_exact_route_gives_the_frozen_values(monkeypatch):
@@ -329,8 +345,7 @@ def test_ascending_sweep_past_order_120_builds_no_exact_row(monkeypatch):
     for n in range(121, 401):
         row = triangle.triangle_row(n)
         exact = triangle.FixedRow(n, sum(row), row, 0)
-        support = distribution._standardized_support(n)
-        distance = distribution._sup_distance(row, exact.scale, support, 0)
+        distance = distribution._sup_distance(row, exact.scale, n)
         expected[n] = distance.hex(), triangle._argmax(exact)
     for n in range(2, 121):
         ks_distance_exact(n), locate_mode(n)
@@ -539,7 +554,38 @@ def test_ks_empirical_large_order_beyond_exact_reach():
     assert abs(emp - ks_distance_exact(1000)) <= epsilon
 
 
-def test_ks_empirical_validates_inputs():
+@pytest.mark.parametrize(
+    "args",
+    # (500, 30, 1) draws 17 values over 322..351, with 13 zero bins between
+    [(2, 60_000, 3), (500, 2_500, 1), (500, 30, 1)],
+    ids=["order-2", "monte-carlo", "sparse"],
+)
+def test_ks_empirical_bit_identical_to_fraction_reference(args):
+    n = args[0]
+    histogram = sample_statistic_histogram(*args)
+    expected = _fraction_distance(histogram[1:], n)
+    assert ks_distance_empirical(*args).hex() == expected.hex()
+
+
+def test_exact_row_reads_one_point_per_value(monkeypatch):
+    assert [row.slack for row in triangle.row_enclosures(100)] == [0]  # the exact row
+    calls = _count_normal_cdf(monkeypatch)
+    ks_distance_exact(100)
+    assert len(calls) == 100
+
+
+def test_ks_empirical_standardizes_only_the_drawn_values(monkeypatch):
+    histogram = sample_statistic_histogram(500, 30, 1)
+    drawn = [k for k, count in enumerate(histogram) if count]
+    assert len(drawn) < drawn[-1] - drawn[0] + 1  # zero bins inside the range
+    calls = _count_normal_cdf(monkeypatch)
+    ks_distance_empirical(500, 30, 1)
+    assert calls == [distribution._standardized_point(k, 500) for k in drawn]
+
+
+def test_ks_empirical_validates_inputs(monkeypatch):
+    # order 1 is refused before any sampling
+    monkeypatch.setattr(distribution, "sample_statistic_histogram", None)
     with pytest.raises(ValueError):
         ks_distance_empirical(1, 10, seed=0)
     with pytest.raises(ValueError):
