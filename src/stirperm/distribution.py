@@ -19,9 +19,10 @@ is (k - mean)/sigma, whose square is the exact rational
 
 so each point is one correctly rounded int true division, one sqrt and a
 sign, with no gcd: the same float that float(Fraction) of the square gives.
-Every distance computes its points in one loop, ``_sup_distance``, and only
-where it reads them: at a nonzero count, or at every point of a row with
-slack, so the Monte-Carlo distance standardizes only the values drawn.
+The jump points of every distance are computed in one loop,
+``_sup_distance``, and only where it reads them: at a nonzero count, or at
+every point of a row with slack, so the Monte-Carlo distance standardizes
+only the values drawn.
 
 The exact distance is the float that the exact row gives, whichever row it
 is read from. It is read from the first of ``triangle.row_enclosures(n)``
