@@ -36,10 +36,10 @@ passes the largest term known exactly, which is then the distance. The
 exact row, with slack 0, always certifies; it is read at every point with
 a nonzero count.
 
-A row with slack is read on its band [lo, hi] of nonzero entries alone,
-about 22 sigma wide (255 of 1200 entries, 399 of 3000), and the points
-and Phi are evaluated only there. Every prefix sum Q left of lo is
-0, so each exact CDF value there, the one below lo too, lies in
+A fixed-point row holds only its band [lo, hi] of nonzero entries, about
+22 sigma wide (255 of 1200 entries, 399 of 3000), with lo its ``first``,
+and the points and Phi are evaluated only there. Every prefix sum Q left
+of lo is 0, so each exact CDF value there, the one below lo too, lies in
 [0, delta/S]; right of hi each lies in [1 - delta/S, 1]. Phi increases, so
 each term on the left tail is at most max(delta/S, Phi(t_(lo-1))), and each
 on the right at most max(delta/S, 1 - Phi(t_(hi+1))): one Phi per tail, at
@@ -266,23 +266,18 @@ def ks_distance_exact(n: int) -> float:
 
 
 def _row_distance(row: FixedRow) -> float | None:
-    """``_sup_distance`` of one enclosure, None when it does not certify. A
-    row with slack is read on its band of nonzero entries alone, and each
-    zero tail beside the band is bounded by one normal CDF value at its
-    innermost point (see the module docstring)."""
-    n, total, entries, slack = row
-    if not slack:
-        return _sup_distance(entries, total, n)
-    # the band is entries[lo:hi], points lo + 1..hi; the tails end at the
-    # points lo and hi + 1
-    lo = entries.index(next(filter(None, entries)))
-    hi = n - entries[::-1].index(next(filter(None, reversed(entries))))
+    """``_sup_distance`` of one enclosure, None when it does not certify. It
+    reads the entries the row holds and bounds each zero tail, where they
+    stop short of value 1 or n, by one normal CDF value at its innermost
+    point (see the module docstring); the exact row holds all n, no tail."""
+    n, total, entries, slack, first = row
+    last = first + len(entries) - 1
     tail = slack / total  # the exact CDF's distance from 0 or 1 on a tail
-    if lo:
-        tail = max(tail, normal_cdf(_standardized_point(lo, n)))
-    if hi < n:
-        tail = max(tail, 1.0 - normal_cdf(_standardized_point(hi + 1, n)))
-    return _sup_distance(entries[lo:hi], total, n, lo + 1, slack, 2.0 * tail)
+    if first > 1:
+        tail = max(tail, normal_cdf(_standardized_point(first - 1, n)))
+    if last < n:
+        tail = max(tail, 1.0 - normal_cdf(_standardized_point(last + 1, n)))
+    return _sup_distance(entries, total, n, first, slack, 2.0 * tail)
 
 
 #: Extra bits of the fixed-point row behind ``pmf_floats``: 2^-1074 is the
@@ -298,10 +293,12 @@ def pmf_floats(n: int) -> tuple[float, ...]:
 
 
 def _pmf(row: FixedRow) -> tuple[float, ...] | None:
-    """The floats q/scale of the entries q, when each equals
+    """The n floats q/scale, q = 0 outside the band, when each equals
     (q + slack)/scale, so that it is the exact entry's float; else None."""
-    pmf = tuple(q / row.scale for q in row.entries)
-    if all(p == (q + row.slack) / row.scale for p, q in zip(pmf, row.entries)):
+    entries = (0,) * (row.first - 1) + row.entries
+    entries += (0,) * (row.order - len(entries))
+    pmf = tuple(q / row.scale for q in entries)
+    if all(p == (q + row.slack) / row.scale for p, q in zip(pmf, entries)):
         return pmf
     return None
 

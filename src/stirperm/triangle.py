@@ -39,15 +39,15 @@ above it.
 
 An entry whose two parents are 0 floors to 0, so a zeroed tail stays zero:
 ``fixed_row`` runs the step on the nonzero band alone, one entry wider on
-the right, trims zeros at both ends and pads the band to the full-width row,
-bit for bit. The band is about 22 sigma wide (255 of 1200 entries, 399 of
-3000), so the row costs about n^1.5, not n^2: 65 ms at order 1200 and 0.20 s
-at 3000, against 0.15 and 0.87 s at full width (2-core host). Since B is the
-same for every order, a row is a function of n alone, and ``fixed_row``
-continues the remembered row's band when asked for a higher order at the
-same B; the result is the row a build from row 1 gives, bit for bit. So an
-ascending run of orders costs one walk to the highest: 800 -> 1200 takes
-20-32 ms, against 45-70 ms from row 1.
+the right, trims zeros at both ends and keeps the band, bit for bit that
+of the full-width row, and its first value. The band is about 22 sigma wide
+(255 of 1200 entries, 399 of 3000), so the row costs about n^1.5, not n^2:
+65 ms at order 1200 and 0.20 s at 3000, against 0.15 and 0.87 s at full
+width (2-core host). Since B is the same for every order, a row is a
+function of n alone, and ``fixed_row`` continues the remembered row's band
+when asked for a higher order at the same B; the result is the row a build
+from row 1 gives, bit for bit. So an ascending run of orders costs one walk
+to the highest: 800 -> 1200 takes 20-32 ms, against 45-70 ms from row 1.
 
 The text writers ``triangle_csv`` and ``triangle_json`` print the rows
 that ``decimal_rows`` builds: ``_extend`` run from (Decimal(1),) instead of
@@ -96,15 +96,17 @@ _FIXED_BITS = 96
 
 
 class FixedRow(NamedTuple):
-    """Row ``order`` of the normalized triangle p as an enclosure: scale p(i)
-    and each prefix sum of scale p exceed their counterparts in ``entries``
-    by at least 0 and at most ``slack``, the scale minus the sum of the
-    entries. The exact row has scale (2n - 1)!! and slack 0."""
+    """Row ``order`` of the normalized triangle p as an enclosure: q(i) is
+    ``entries[i - first]`` where the row holds i and 0 elsewhere, and scale
+    p(i) and each prefix sum of scale p exceed those of q by at least 0 and
+    at most ``slack``, the scale minus the sum of q. A fixed row holds its
+    nonzero band; the exact row has scale (2n - 1)!!, slack 0 and all n."""
 
     order: int
     scale: int
     entries: tuple[int, ...]
     slack: int
+    first: int = 1
 
 
 _last_fixed: FixedRow | None = None
@@ -147,11 +149,7 @@ def fixed_row(n: int, extra_bits: int = 0) -> FixedRow:
         return last
     if last is None or last.scale != scale or last.order > n:
         last = FixedRow(1, scale, (scale,), 0)
-    row = list(last.entries)  # trimmed to the band: entries lo .. lo + len(row) - 1
-    lo = row.index(next(filter(None, row))) + 1
-    del row[: lo - 1]
-    while not row[-1]:
-        row.pop()
+    row, lo = list(last.entries), last.first  # entries lo .. lo + len(row) - 1
     for m in range(last.order + 1, n + 1):
         d, top = 2 * m - 1, 2 * m - lo
         row = [  # j = 2m - i
@@ -166,8 +164,7 @@ def fixed_row(n: int, extra_bits: int = 0) -> FixedRow:
         while not row[0]:
             del row[0]
             lo += 1
-    entries = (0,) * (lo - 1) + tuple(row) + (0,) * (n + 1 - lo - len(row))
-    _last_fixed = FixedRow(n, scale, entries, scale - sum(row))
+    _last_fixed = FixedRow(n, scale, tuple(row), scale - sum(row), lo)
     return _last_fixed
 
 
@@ -279,7 +276,9 @@ def _argmax(row: FixedRow) -> tuple[int, ...] | None:
     are the exact row's argmax when there is one of them or the slack is 0;
     None otherwise."""
     least = max(row.entries) - row.slack
-    argmax = tuple(i for i, q in enumerate(row.entries, start=1) if q >= least)
+    if least <= 0 < row.order - len(row.entries):
+        return None  # every q_i = 0 outside the band reaches the top too
+    argmax = tuple(i for i, q in enumerate(row.entries, start=row.first) if q >= least)
     return argmax if len(argmax) == 1 or not row.slack else None
 
 

@@ -432,6 +432,24 @@ def test_sample_streams_words_and_stats_deterministically(capsys):
     assert sum(first) == 7
 
 
+def test_seeds_are_read_modulo_two_to_the_64(capsys):
+    # a seed is the generator's state modulo 2^64, so these three draw the
+    # same words and the same histogram; normality echoes the seed as given
+    aliases = ("-1", str(2**64 - 1), str(2**65 - 1))
+    words = {run(capsys, "sample", "--n", "3", "--count", "4", "--seed", s)[1] for s in aliases}
+    assert len(words) == 1
+    assert words != {run(capsys, "sample", "--n", "3", "--count", "4", "--seed", "0")[1]}
+    payloads = [
+        json.loads(run(
+            capsys, "normality", "--n", "20", "--no-exact", "--samples", "500",
+            "--seed", s, "--format", "json",
+        )[1])
+        for s in aliases
+    ]
+    assert len({p["ks_empirical"] for p in payloads}) == 1
+    assert [p["seed"] for p in payloads] == [int(s) for s in aliases]
+
+
 def test_sample_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--n", "3"])

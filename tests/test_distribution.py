@@ -278,9 +278,8 @@ def test_fixed_row_distance_reads_the_band_and_one_point_per_tail(monkeypatch):
     # point of each zero tail, never elsewhere in the tails
     n = 1200
     row = triangle.fixed_row(n)
-    band = [k for k, q in enumerate(row.entries, start=1) if q]
-    lo, hi = band[0], band[-1]
-    assert 1 < lo and hi < n and len(band) == hi - lo + 1  # one band, two tails
+    lo, hi = row.first, row.first + len(row.entries) - 1
+    assert 1 < lo and hi < n and all(row.entries)  # one band, two tails
     points = _count_normal_cdf(monkeypatch)
     assert ks_distance_exact(n).hex() == _EXACT_ROUTE[n][0]
     assert sorted(points) == [
@@ -289,14 +288,15 @@ def test_fixed_row_distance_reads_the_band_and_one_point_per_tail(monkeypatch):
 
 
 def _two_tailed_row(n, masses):
-    """A synthetic order-n enclosure of scale 2^96 and slack 1: entry k
-    carries the share masses[k] of the rest, and every other entry is 0."""
-    scale = 1 << 96
-    entries = [0] * n
+    """A synthetic order-n enclosure of scale 2^96 and slack 1 on the band
+    min(masses)..max(masses): entry k carries the share masses[k] of the
+    rest, and every other entry is 0."""
+    scale, lo, hi = 1 << 96, min(masses), max(masses)
+    entries = [0] * (hi - lo + 1)
     for k, share in masses.items():
-        entries[k - 1] = (scale - 1) * share.numerator // share.denominator
-    entries[max(masses) - 1] += scale - 1 - sum(entries)
-    return triangle.FixedRow(n, scale, tuple(entries), 1)
+        entries[k - lo] = (scale - 1) * share.numerator // share.denominator
+    entries[-1] += scale - 1 - sum(entries)
+    return triangle.FixedRow(n, scale, tuple(entries), 1, lo)
 
 
 @pytest.mark.parametrize(
@@ -316,13 +316,14 @@ def test_tail_bound_above_the_band_terms_leaves_the_row_uncertified(monkeypatch,
     n = 12
     row = _two_tailed_row(n, masses)
     lo, hi = min(masses), max(masses)
+    assert (row.first, row.first + len(row.entries) - 1) == (lo, hi)
     # the band's own terms certify: only a tail bound holds the row back
-    band = row.entries[lo - 1 : hi]
-    assert distribution._sup_distance(band, row.scale, n, lo, 1) is not None
+    assert distribution._sup_distance(row.entries, row.scale, n, lo, 1) is not None
     assert distribution._row_distance(row) is None
-    # so the distance moves on to the next enclosure: here the same entries
-    # as an exact row of scale 2^96 - 1
-    exact = row._replace(scale=row.scale - 1, slack=0)
+    # so the distance moves on to the next enclosure: here the same entries,
+    # all n of them, as an exact row of scale 2^96 - 1
+    entries = (0,) * (lo - 1) + row.entries + (0,) * (n - hi)
+    exact = triangle.FixedRow(n, row.scale - 1, entries, 0)
     monkeypatch.setattr(distribution, "row_enclosures", lambda n: iter((row, exact)))
     assert ks_distance_exact(n) == distribution._sup_distance(exact.entries, exact.scale, n)
 

@@ -224,13 +224,21 @@ def test_fixed_row_encloses_the_normalized_exact_row(monkeypatch, n):
     assert fixed.slack == fixed.scale - sum(fixed.entries)
     assert 0 <= fixed.slack < n * (n + 1) // 2
     population, scale = double_factorial(n), fixed.scale
+    entries = _full_width(fixed)  # each value 1..n, 0 outside the band
+    assert len(entries) == n
     exact = low = 0
-    for count, entry in zip(triangle_row(n), fixed.entries):
+    for count, entry in zip(triangle_row(n), entries):
         assert entry * population <= count * scale <= (entry + fixed.slack) * population
         exact += count
         low += entry
         assert low * population <= exact * scale <= (low + fixed.slack) * population
     assert triangle.fixed_row(n) is fixed  # one row remembered
+
+
+def _full_width(row):
+    """All n entries of ``row``, 0 outside its band."""
+    entries = (0,) * (row.first - 1) + row.entries
+    return entries + (0,) * (row.order - len(entries))
 
 
 def _full_width_fixed_rows(bits, orders):
@@ -254,7 +262,9 @@ def test_banded_fixed_row_is_the_full_width_row(monkeypatch):
     orders = {*range(1, 401), 500, 600, 800, 1200, 3000}
     monkeypatch.setattr(triangle, "_last_fixed", None)
     for expected in _full_width_fixed_rows(96, orders):
-        assert triangle.fixed_row(expected.order) == expected, expected.order
+        row = triangle.fixed_row(expected.order)
+        assert row.entries[0] and row.entries[-1], expected.order  # trimmed
+        assert row._replace(entries=_full_width(row), first=1) == expected, expected.order
 
 
 def _cold_fixed_row(monkeypatch, n):
@@ -268,12 +278,12 @@ def test_fixed_row_extends_the_remembered_row_only_upwards_at_one_scale(monkeypa
     monkeypatch.setattr(triangle, "_last_fixed", None)
     assert [triangle.fixed_row(n) for n in orders] == cold
     # the extension reads the remembered band: a made-up row 2 with all its
-    # weight on entry 2 steps to (0, 2 * 2^96 // 5, 3 * 2^96 // 5)
+    # weight on entry 2 steps to entries 2..3, (2 * 2^96 // 5, 3 * 2^96 // 5)
     one = 1 << 96
-    made_up = triangle.FixedRow(2, one, (0, one), 0)
-    stepped = (0, 2 * one // 5, 3 * one // 5)
+    made_up = triangle.FixedRow(2, one, (one,), 0, 2)
+    stepped = (2 * one // 5, 3 * one // 5)
     monkeypatch.setattr(triangle, "_last_fixed", made_up)
-    assert triangle.fixed_row(3) == (3, one, stepped, one - sum(stepped))
+    assert triangle.fixed_row(3) == (3, one, stepped, one - sum(stepped), 2)
     # an order below the remembered one starts from row 1
     monkeypatch.setattr(triangle, "_last_fixed", made_up._replace(order=4))
     assert triangle.fixed_row(3) == _cold_fixed_row(monkeypatch, 3)
@@ -321,7 +331,7 @@ def test_enclosures_end_with_the_exact_row_built_only_when_reached(monkeypatch):
     rows = triangle.row_enclosures(30)
     assert next(rows) == triangle.fixed_row(30)
     assert triangle._last_row == (1,)
-    assert next(rows) == (30, double_factorial(30), triangle._extend((1,), 30), 0)
+    assert next(rows) == (30, double_factorial(30), triangle._extend((1,), 30), 0, 1)
     assert next(rows, None) is None
 
 
@@ -334,6 +344,8 @@ def test_argmax_rule_on_hand_built_rows():
     assert triangle._argmax(row(4, 64, (3, 29, 27, 3), 2)) is None
     # one beaten by more than the slack certifies the top index
     assert triangle._argmax(row(4, 64, (3, 30, 27, 2), 2)) == (2,)
+    # a slack up to the top lets the zeros outside a band of one reach it
+    assert triangle._argmax(row(4, 64, (30,), 34, 2)) is None
 
 
 @pytest.mark.parametrize(
