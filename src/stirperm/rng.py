@@ -20,30 +20,43 @@ buffered, and assigning it drops the buffer.
 at a time: a sample's count starts at 1 and gains 1 at each bound b whose
 draw ``below(b)`` is at least the count so far. Sample s of a chunk of up to
 ``LANES`` samples takes draws s*W + k, k = 0..W-1, so draw k of every sample
-in the chunk is one Python int: lane s (bits 128s..128s+127) holds the state
-s0 + (s*W + k + 1)*GAMMA, and each step adds GAMMA to every lane. The lanes
-are mixed by ``_mix``, as the refills are, and masking each shifted value
-and each product to the lanes' low 64 bits keeps lanes from leaking into
-each other. Every lane of a step has the same bound b, so all of them are
-reduced together (Barrett, CRYPTO '86): with m = floor(2^64 / b),
-q = (z*m) >> 64 is z // b or one less, so r = z - q*b is z mod b or that
-plus b, and below 2^64.
+in the chunk is one Python int: lane s (bits ws..ws+w-1, w bits a lane)
+holds the state s0 + (s*W + k + 1)*GAMMA, and each step adds GAMMA to every
+lane. The lanes are mixed by ``_mix``, as the refills are, and masking each
+shifted value and each product to the lanes' low 64 bits keeps lanes from
+leaking into each other.
 
-That one reduction is all the comparison needs. Each lane keeps
-room = 2^64 - c for its count c, and z mod b >= c is the parity of the
-carries into bit 64 of r + 2^64 - c, r + 2^64 - b and r + 2^64 - b - c,
-which are [r >= c], [r >= b] and [r >= b + c]: where r < b the last two are
-0, and where r >= b the first is 1 (c < b) and the second cancels it. A
-count is at most k before step k, so every sum lies in [0, 2^65) and no lane
-borrows from the next when k < b_k <= 2^64 - k, which ``below_chain`` checks
-before its first draw; the chain's own bounds b_k = 2k + 1 meet it.
+Every lane of a step has the same bound b, so all of them are compared with
+their counts by one direct remainder (Lemire, Kaser & Kurz, "Faster
+Remainder by Direct Computation", Softw. Pract. Exp. 49(6), 2019): with
+f = 64 + bitlen(b) and m = ceil(2^f / b), z mod b = floor(((m*z) mod 2^f) * b
+/ 2^f) for every z < 2^64. Their argument needs only f >= 64 + log2 b:
+m*b = 2^f + d with 0 <= d < b, and z = q*b + r give m*z = q*2^f + (q*d + r*m)
+and (q*d + r*m)*b = r*2^f + d*z, where 0 <= d*z < b*2^64 <= 2^f. So
+q*d + r*m < 2^f is (m*z) mod 2^f, and its product with b lies in
+[r*2^f, (r + 1)*2^f). Hence z mod b >= c exactly when
+((m*z) mod 2^f) * b >= c * 2^f. Scaled by 2^(at - f), with top the bit
+length of the largest bound and at = 64 + top, that test is one carry: each
+lane keeps room = 2^(at+top) - c*2^at for its count c, and bit at + top of
+((m*z) mod 2^f) * (b << (at - f)) + room is the test, which the step moves
+to bit at and subtracts from room.
+
+No sum leaves its lane when w >= 129 and w >= 65 + 2*top: b >= 2^(f-65),
+so m <= 2^65 and m*z < 2^129; the scaled product is below b*2^at <
+2^(at+top), and so is room, so their sum is below 2^(65+2*top). Lanes are
+whole bytes: 17 for every bound below 2^32, 25 at 2^64 - k. Room stays
+non-negative while every count stays below its bound: a count is at most k
+before step k, and ``below_chain`` checks k < b_k <= 2^64 - k before its
+first draw; the chain's own bounds b_k = 2k + 1 meet it.
 
 A lane with an output at or above the smallest rejection limit sets bit 64
 of a flag word. After a chunk the samples before the first flagged one are
 kept, that sample's chain is drawn by ``below`` itself, and the next chunk
 starts after it, so rejection follows one rule: the counts and the final
 state are exactly those of the same calls to ``below``, and seed streams do
-not depend on which of the two a caller uses.
+not depend on which of the two a caller uses. A chunk of one sample is
+drawn by ``below`` too: one lane pays for the per-step scalar work of the
+comparison and gains no width to spread it over.
 """
 
 from __future__ import annotations
@@ -53,7 +66,7 @@ from collections.abc import Iterator, Sequence
 from functools import cache, lru_cache
 
 MASK64 = (1 << 64) - 1
-LANES = 2048  # samples per chunk, one 128-bit lane each
+LANES = 2048  # samples per chunk, one lane each
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -78,22 +91,25 @@ def _refill_table() -> tuple:
     """(ones, mask, state offsets, unpack) of a refill, built on first use.
     Lane s of the offsets is (_REFILL - s)*GAMMA: the last output of a
     refill is mixed in the lowest lane and unpacked first."""
-    ones = _pack([1] * _REFILL)
-    offsets = _pack([(i * _GAMMA) & MASK64 for i in range(_REFILL, 0, -1)])
+    ones = _pack([1] * _REFILL, 16)
+    offsets = _pack([(i * _GAMMA) & MASK64 for i in range(_REFILL, 0, -1)], 16)
     return ones, ones * MASK64, offsets, struct.Struct("<" + "Q8x" * _REFILL).unpack
 
 
-def _pack(values: Sequence[int]) -> int:
-    """One 128-bit lane per value below 2^64, the first value in the lowest lane."""
-    return int.from_bytes(struct.pack("<" + "Q8x" * len(values), *values), "little")
+def _pack(values: Sequence[int], width: int) -> int:
+    """One lane of ``width`` bytes per value below 2^64, the first value in
+    the lowest lane."""
+    return int.from_bytes(
+        struct.pack("<" + f"Q{width - 8}x" * len(values), *values), "little"
+    )
 
 
 @lru_cache(maxsize=2)  # a full chunk, and the last one of a count
-def _chunk_constants(lanes: int) -> tuple[int, int, int, int]:
-    """(ones, mask, high, ramp) of a chunk: 1, 2^64 - 1, 2^64 and s in
-    each lane s."""
-    ones = int.from_bytes(b"\1".ljust(16, b"\0") * lanes, "little")
-    return ones, ones * MASK64, ones << 64, _pack(range(lanes))
+def _chunk_constants(lanes: int, width: int) -> tuple[int, int, int]:
+    """(ones, mask, ramp) of a chunk of ``width``-byte lanes: 1, 2^64 - 1
+    and s in each lane s."""
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * lanes, "little")
+    return ones, ones * MASK64, _pack(range(lanes), width)
 
 
 class SplitMix64:
@@ -165,33 +181,42 @@ class SplitMix64:
             if not k < bound <= (1 << 64) - k:
                 raise ValueError(f"bound {k} must be in {k + 1}..2^64 - {k}, got {bound}")
         floor = min((((1 << 64) // b) * b for b in bounds), default=1 << 64)
+        top = max(bounds, default=1).bit_length()
+        at = 64 + top
+        width = (max(129, 65 + 2 * top) + 7) // 8  # bytes a lane
         stride = (len(bounds) * _GAMMA) & MASK64
         while samples > 0:
             lanes = min(samples, LANES)
-            ones, mask, high, ramp = _chunk_constants(lanes)
-            step = ones * _GAMMA
-            over = ones * ((1 << 64) - floor)  # bit 64 of z + over: z >= floor
-            start = self.state
-            state = (start * ones + ramp * stride) & mask
-            room = high - ones  # 2^64 - count in each lane; every count starts at 1
-            flags = 0
-            for b in bounds:
-                state = (state + step) & mask
-                z = _mix(state, mask)
-                flags |= z + over
-                z -= (((z * ((1 << 64) // b)) >> 64) & mask) * b  # z mod b, or that plus b
-                low = ones * b
-                t = z + room
-                # the parity of three carries: z mod b >= count
-                room -= ((t ^ (z + high - low) ^ (t - low)) >> 64) & ones
-            flagged = (flags >> 64) & ones
-            kept = ((flagged & -flagged).bit_length() - 1) // 128 if flagged else lanes
-            self.state = (start + kept * stride) & MASK64
-            counts = (high - room).to_bytes(16 * lanes, "little")[: 16 * kept]
-            for count, in struct.iter_unpack("<Q8x", counts):
-                yield count
-            samples -= kept
-            if kept < lanes:  # the first flagged sample, drawn by below
+            kept = 0
+            if lanes > 1:
+                ones, mask, ramp = _chunk_constants(lanes, width)
+                step = ones * _GAMMA
+                over = ones * ((1 << 64) - floor)  # bit 64 of z + over: z >= floor
+                one = ones << at  # a count of 1 in room's scale
+                start = self.state
+                state = (start * ones + ramp * stride) & mask
+                room = (one << top) - one  # 2^(at+top) - count*2^at; every count starts at 1
+                flags = bits = 0
+                for b in bounds:
+                    state = (state + step) & mask
+                    z = _mix(state, mask)
+                    flags |= z + over
+                    if b.bit_length() != bits:
+                        bits = b.bit_length()
+                        f = 64 + bits
+                        below_f, shift = (1 << f) - 1, at - f
+                        low = ones * below_f
+                    # m = ceil(2^f / b); bit at + top of t: z mod b >= count
+                    t = ((z * (below_f // b + 1)) & low) * (b << shift) + room
+                    room -= (t >> top) & one
+                flagged = (flags >> 64) & ones
+                kept = ((flagged & -flagged).bit_length() - 1) // (8 * width) if flagged else lanes
+                self.state = (start + kept * stride) & MASK64
+                counts = (((one << top) - room) >> at).to_bytes(width * lanes, "little")
+                for count, in struct.iter_unpack(f"<Q{width - 8}x", counts[: width * kept]):
+                    yield count
+                samples -= kept
+            if kept < lanes:  # a lone sample, or the first flagged one: drawn by below
                 count = 1
                 for b in bounds:
                     count += self.below(b) >= count

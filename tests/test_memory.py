@@ -106,11 +106,21 @@ def test_poly_wilf_at_order_300_stays_small():
 
 
 def test_histogram_at_order_one_million_stays_small():
-    # buffering raw draws across lists peaked near 160 MiB; one sample's
-    # lanes are 128 bits, so the histogram itself is most of the peak
+    # buffering raw draws across lists peaked near 160 MiB; one sample is
+    # drawn by scalar below calls, so the histogram itself is most of the peak
     peak = _peak_mib(
         "from stirperm.distribution import sample_statistic_histogram\n"
         "sample_statistic_histogram(10**6, 1, 1)\n"
+    )
+    assert peak < 64
+
+
+def test_two_sample_histogram_at_order_one_million_stays_small():
+    # two samples run the lanes; a chain kernel that listed a constant per
+    # bound peaked near 150 MiB
+    peak = _peak_mib(
+        "from stirperm.distribution import sample_statistic_histogram\n"
+        "sample_statistic_histogram(10**6, 2, 1)\n"
     )
     assert peak < 64
 

@@ -125,6 +125,12 @@ def test_rejection_branch_consumes_a_second_draw():
         # outputs
         ([2, 2**64 - 2, 2**62, 5, 2**63 + 1, 2**64 - 6, 8], 40),
         ([3, 2**63 + 1, 10**18], 40),
+        # bit lengths 31, 32, 33, 64 and back down: the direct remainder's
+        # f changes at each crossing, and the largest bound sets the lanes'
+        # width
+        ([2**30 + 1, 2**31 - 1, 2**31, 2**31 + 1, 6, 2**32 - 1, 2**32, 2**32 + 1,
+          2**33 - 1, 11, 2**33, 2**64 - 12, 2**63 + 1, 2**33 + 1, 2**33 - 1, 17,
+          2**32 + 1, 2**32, 2**32 - 1, 2**31 + 1, 2**31 - 1, 23, 2**30 - 1], 40),
     ],
 )
 @pytest.mark.parametrize(
@@ -132,6 +138,59 @@ def test_rejection_branch_consumes_a_second_draw():
 )
 def test_kernel_equals_scalar_below_across_blocks(seed, bounds, samples):
     assert lane_chain(seed, bounds, samples) == scalar_chain(seed, bounds, samples)
+
+
+POWER_EDGES = st.builds(
+    lambda j, d: (1 << j) + d, st.integers(0, 64), st.sampled_from([-1, 0, 1])
+).filter(lambda b: 1 <= b <= MASK64)
+DIVISORS = st.one_of(POWER_EDGES, st.integers(1, MASK64))
+
+
+def direct_remainder(z, b):
+    """z mod b from one product (Lemire, Kaser & Kurz 2019), as the chain
+    kernel takes it: f = 64 + bitlen(b) and m = ceil(2^f / b)."""
+    f = 64 + b.bit_length()
+    m = -(-(1 << f) // b)
+    return ((z * m) % (1 << f)) * b >> f
+
+
+def quotient_edges(b, k, c):
+    """The 64-bit z at 0, 2^64 - 1, and k*b - 1, k*b and k*b + c, with k
+    and c reduced to a quotient of a 64-bit z and a remainder by b."""
+    k %= MASK64 // b + 2
+    c %= b
+    return [z for z in (0, MASK64, k * b - 1, k * b, k * b + c) if 0 <= z <= MASK64]
+
+
+def test_direct_remainder_at_every_power_of_two_edge():
+    for j in range(65):
+        for b in ((1 << j) - 1, 1 << j, (1 << j) + 1):
+            if 1 <= b <= MASK64:
+                for z in quotient_edges(b, MASK64 // b, -1) + [1, b - 1, b]:
+                    assert direct_remainder(z, b) == z % b, (z, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DIVISORS, st.integers(0, MASK64), st.integers(0, MASK64))
+def test_direct_remainder_equals_the_remainder(b, k, c):
+    f = 64 + b.bit_length()
+    for z in quotient_edges(b, k, c):
+        assert direct_remainder(z, b) == z % b
+        # the kernel's test of a count c: one comparison, no division
+        assert (((z * -(-(1 << f) // b)) % (1 << f)) * b >= c % b << f) == (z % b >= c % b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DIVISORS.filter(lambda b: b >= 2), st.integers(0, MASK64), st.integers(0, MASK64))
+@example(2**32 + 1, MASK64 // (2**32 + 1) - 1, 1)
+@example(2**64 - 1, 0, 1)
+@example(2**63 + 1, 1, 1)
+def test_kernel_compares_chosen_outputs_with_their_count(b, k, c):
+    # lane 0 of a two-sample chain [b] compares output 0 of the seed with
+    # the count 1, so a remainder misjudged at or near a multiple of b shows
+    for z in quotient_edges(b, k, c):
+        seed = seed_for_output(z)
+        assert lane_chain(seed, [b], 2) == scalar_chain(seed, [b], 2)
 
 
 def chunk_starts(rng, counts):
@@ -176,6 +235,16 @@ def test_kernel_follows_draws_made_between_chunks():
             assert rng.state == reference.state
             assert rng.below(11) == reference.below(11)
     assert rng.state == reference.state
+
+
+def test_lone_sample_is_drawn_by_below_and_two_share_a_chunk():
+    bounds = [3, 5, 7]
+    rng = SplitMix64(42)
+    assert list(rng.below_chain(bounds, 1)) == scalar_chain(42, bounds, 1)[0]
+    assert rng._buffer  # scalar draws leave the rest of a refill buffered
+    rng = SplitMix64(42)
+    assert chunk_starts(rng, rng.below_chain(bounds, 2)) == [0]
+    assert rng._buffer == [] and rng.state == scalar_chain(42, bounds, 2)[1]
 
 
 def test_unfinished_chunk_still_moves_the_state():
