@@ -75,8 +75,10 @@ ROOTS_ORDER_CAP = 300
 #: --interlace`` takes 37.6-37.9 s (21.6 MiB peak): bisecting its 300
 #: intervals to 64 bits adds 7-15 s, and 200 takes 10.3-11.7 s.
 ROOTS_WIDTH_FLOOR = Fraction(1, 2**64)
-#: ``normality --n 1000000 --no-exact --samples 1`` takes 1.8-2.5 s with 31 MiB
-#: peak RSS (20 samples: 4.0-5.7 s); time and memory grow linearly in the order.
+#: ``normality --n 1000000 --no-exact --samples 1`` takes 0.67-0.94 s with 31 MiB
+#: peak RSS, its one sample drawn by scalar ``below`` calls (2 samples, in lanes:
+#: 1.55-1.79 s; 20 samples: 2.87-3.18 s); time and memory grow linearly in the
+#: order.
 SAMPLING_ORDER_CAP = 1_000_000
 #: ``sample --n 200000 --count 1`` takes 5.6 s with 56 MiB peak RSS (100000:
 #: 1.5 s, 36 MiB); each word costs about n^2 element moves.

@@ -146,12 +146,12 @@ POWER_EDGES = st.builds(
 DIVISORS = st.one_of(POWER_EDGES, st.integers(1, MASK64))
 
 
-def direct_remainder(z, b):
-    """z mod b from one product (Lemire, Kaser & Kurz 2019), as the chain
-    kernel takes it: f = 64 + bitlen(b) and m = ceil(2^f / b)."""
+def direct_product(z, b):
+    """((m*z) mod 2^f) * b and f, as the chain kernel takes them: f = 64 +
+    bitlen(b) and m = ceil(2^f / b). The product's bits from f up are z mod
+    b (Lemire, Kaser & Kurz 2019)."""
     f = 64 + b.bit_length()
-    m = -(-(1 << f) // b)
-    return ((z * m) % (1 << f)) * b >> f
+    return ((z * -(-(1 << f) // b)) % (1 << f)) * b, f
 
 
 def quotient_edges(b, k, c):
@@ -167,17 +167,18 @@ def test_direct_remainder_at_every_power_of_two_edge():
         for b in ((1 << j) - 1, 1 << j, (1 << j) + 1):
             if 1 <= b <= MASK64:
                 for z in quotient_edges(b, MASK64 // b, -1) + [1, b - 1, b]:
-                    assert direct_remainder(z, b) == z % b, (z, b)
+                    product, f = direct_product(z, b)
+                    assert product >> f == z % b, (z, b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(DIVISORS, st.integers(0, MASK64), st.integers(0, MASK64))
 def test_direct_remainder_equals_the_remainder(b, k, c):
-    f = 64 + b.bit_length()
     for z in quotient_edges(b, k, c):
-        assert direct_remainder(z, b) == z % b
+        product, f = direct_product(z, b)
+        assert product >> f == z % b
         # the kernel's test of a count c: one comparison, no division
-        assert (((z * -(-(1 << f) // b)) % (1 << f)) * b >= c % b << f) == (z % b >= c % b)
+        assert (product >= (c % b) << f) == (z % b >= c % b)
 
 
 @settings(max_examples=200, deadline=None)
