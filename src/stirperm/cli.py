@@ -68,12 +68,12 @@ POLY_ORDER_CAP = 1400
 #: when the entries were printed from ints), so the text, not the time,
 #: sets the cap.
 TRIANGLE_ORDER_CAP = 1000
-#: ``roots --n 300 --interlace`` takes 22-30 s (21.4 MiB peak), and 200 takes
-#: 5.4-6.1 s (18 MiB); the cost grows like n^4.
+#: ``roots --n 300 --interlace`` takes 16-23 s cold (21.5 MiB peak), and 200
+#: takes 3.6-5.0 s (18 MiB); the cost grows like n^4.
 ROOTS_ORDER_CAP = 300
 #: ``roots --width`` refuses a narrower width. At the floor, ``roots --n 300
-#: --interlace`` takes 37.6-37.9 s (21.6 MiB peak): bisecting its 300
-#: intervals to 64 bits adds 7-15 s, and 200 takes 10.3-11.7 s.
+#: --interlace`` takes 22-27 s cold (21.6 MiB peak): bisecting its 300
+#: intervals to 64 bits adds up to 6 s, and 200 takes 5.6-7.4 s (18 MiB).
 ROOTS_WIDTH_FLOOR = Fraction(1, 2**64)
 #: ``normality --n 1000000 --no-exact --samples 1`` takes 0.67-0.94 s with 31 MiB
 #: peak RSS, its one sample drawn by scalar ``below`` calls (2 samples, in lanes:

@@ -1,10 +1,11 @@
 """Exact arithmetic kernel: dense integer-coefficient polynomials.
 
-Scalars are plain Python ints and ``fractions.Fraction`` (arbitrary
-precision, always lowest terms, positive denominator), which already meet
-the exactness requirements, so this module only adds the polynomial layer.
-No floating point appears anywhere; every operation is pure and every value
-immutable.
+``IntPolynomial`` holds canonical integer coefficients and answers what the
+root certifier and ``poly --eval`` ask of them: the degree, exact Horner
+evaluation at int and ``fractions.Fraction`` points, and the exact sign at a
+dyadic point. It has no ring arithmetic; the oracles that build polynomials
+by a recurrence do so on coefficient tuples of their own. No floating point
+appears anywhere, and every value is immutable.
 """
 
 from __future__ import annotations
@@ -60,37 +61,6 @@ class IntPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return IntPolynomial(summed)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(other * c for c in self._coeffs)
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return IntPolynomial()
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    prod[i + j] += ca * cb
-        return IntPolynomial(prod)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(i * c for i, c in enumerate(self._coeffs) if i)
 
     def __call__(self, x: Scalar) -> Scalar:
         """Horner evaluation; exact for int and Fraction arguments."""

@@ -180,11 +180,12 @@ class SplitMix64:
         for k, bound in enumerate(bounds, start=1):
             if not k < bound <= (1 << 64) - k:
                 raise ValueError(f"bound {k} must be in {k + 1}..2^64 - {k}, got {bound}")
-        floor = min((((1 << 64) // b) * b for b in bounds), default=1 << 64)
-        top = max(bounds, default=1).bit_length()
-        at = 64 + top
-        width = (max(129, 65 + 2 * top) + 7) // 8  # bytes a lane
-        stride = (len(bounds) * _GAMMA) & MASK64
+        if min(samples, LANES) > 1:  # lanes run: a lone sample reads none of this
+            floor = min((((1 << 64) // b) * b for b in bounds), default=1 << 64)
+            top = max(bounds, default=1).bit_length()
+            at = 64 + top
+            width = (max(129, 65 + 2 * top) + 7) // 8  # bytes a lane
+            stride = (len(bounds) * _GAMMA) & MASK64
         while samples > 0:
             lanes = min(samples, LANES)
             kept = 0

@@ -17,7 +17,7 @@ from .permutations import (
     enumerate_words,
     sample_word,
 )
-from .polynomial import IntPolynomial, double_factorial
+from .polynomial import double_factorial
 from .rng import LANES, SplitMix64
 from .special import chi_square_sf
 
@@ -72,15 +72,21 @@ def _check(suite: str, name: str, pairs) -> CheckResult:
 
 
 def _derivative_polynomials(n_max: int):
-    """P_1, ..., P_(n_max) by the derivative recurrence
-    P_m = (x - x^2) P_(m-1)' + (2m - 1) x P_(m-1), P_1 = x: the oracle for
-    ``triangle_row``, with which it shares no code."""
-    x = IntPolynomial((0, 1))
-    x_minus_x2 = IntPolynomial((0, 1, -1))
-    poly = x
+    """The coefficient tuples of P_1, ..., P_(n_max) by the derivative
+    recurrence P_m = (x - x^2) P_(m-1)' + (2m - 1) x P_(m-1), P_1 = x: the
+    oracle for ``triangle_row``, with which it shares no code. Each step
+    forms P', its shifts by x and by x^2, and (2m - 1) x P as separate lists,
+    then sums them term by term."""
+    poly = (0, 1)
     yield poly
     for m in range(2, n_max + 1):
-        poly = x_minus_x2 * poly.derivative() + (2 * m - 1) * (x * poly)
+        derivative = [i * c for i, c in enumerate(poly) if i]
+        terms = (
+            [0, *derivative, 0],  # x P'
+            [0, 0, *(-c for c in derivative)],  # -x^2 P'
+            [0, *((2 * m - 1) * c for c in poly)],  # (2m - 1) x P
+        )
+        poly = tuple(map(sum, zip(*terms)))
         yield poly
 
 
@@ -97,7 +103,7 @@ def _suite_triangle(p) -> list[CheckResult]:
         if n <= p["enumeration_orders"]:
             for stat in STAT_LABELS:
                 oracle.append((f"n={n} {stat}", row == brute_force_triangle(n, stat)))
-        agree.append((f"n={n}", IntPolynomial((0,) + row) == oracle_poly))
+        agree.append((f"n={n}", (0,) + row == oracle_poly))
         # P_n'(1) / P_n(1) = (2n + 1)/3
         weighted = sum(i * t for i, t in enumerate(row, start=1))
         means.append((f"n={n}", 3 * weighted == (2 * n + 1) * total))

@@ -96,14 +96,14 @@ class SturmChain:
         if not p:
             raise ValueError("Sturm chain of the zero polynomial is undefined")
         chain = [primitive(p)]
-        derivative = p.derivative()
+        derivative = IntPolynomial(i * c for i, c in enumerate(p.coefficients) if i)
         if derivative:
             chain.append(primitive(derivative))
             while True:
                 rem = pseudo_remainder(chain[-2], chain[-1])
                 if not rem:
                     break
-                chain.append(primitive(-1 * rem))
+                chain.append(primitive(IntPolynomial(-c for c in rem.coefficients)))
                 if chain[-1].degree() == 0:
                     break
         self.polynomials = tuple(chain)

@@ -240,9 +240,11 @@ def test_kernel_follows_draws_made_between_chunks():
 
 def test_lone_sample_is_drawn_by_below_and_two_share_a_chunk():
     bounds = [3, 5, 7]
-    rng = SplitMix64(42)
-    assert list(rng.below_chain(bounds, 1)) == scalar_chain(42, bounds, 1)[0]
-    assert rng._buffer  # scalar draws leave the rest of a refill buffered
+    for seed in (42, REJECTING_SEED, rejecting_at(2)):
+        rng = SplitMix64(seed)  # 42, then a rejected first or third draw
+        counts = list(rng.below_chain(bounds, 1))
+        assert (counts, rng.state) == scalar_chain(seed, bounds, 1)
+        assert rng._buffer  # scalar draws leave the rest of a refill buffered
     rng = SplitMix64(42)
     assert chunk_starts(rng, rng.below_chain(bounds, 2)) == [0]
     assert rng._buffer == [] and rng.state == scalar_chain(42, bounds, 2)[1]

@@ -24,7 +24,7 @@ from stirperm.verify import _RANGES, _derivative_polynomials
 @functools.cache
 def _descent(n_max: int) -> tuple[tuple[int, ...], ...]:
     """The coefficients of P_1, ..., P_(n_max) by the derivative recurrence."""
-    return tuple(p.coefficients for p in _derivative_polynomials(n_max))
+    return tuple(_derivative_polynomials(n_max))
 
 
 def _sign(coefficients, end) -> int:

@@ -63,7 +63,7 @@ def test_rows_list_shape():
     ids=["ascending", "descending", "repeated", "interleaved", "long-steps"],
 )
 def test_rows_independent_of_call_order(orders):
-    expected = [p.coefficients[1:] for p in _derivative_polynomials(max(40, *orders))]
+    expected = [p[1:] for p in _derivative_polynomials(max(40, *orders))]
     assert [triangle_row(n) for n in range(1, 41)] == expected[:40]
     for n in orders:
         assert triangle_row(n) == expected[n - 1]
@@ -76,9 +76,18 @@ def test_polynomial_first_orders():
     assert descent_polynomial(5) == IntPolynomial([0, 1, 52, 328, 444, 120])
 
 
-def test_polynomial_route_matches_triangle_route():
+def test_polynomial_route_matches_triangle_route(monkeypatch):
     for n, poly in enumerate(_derivative_polynomials(120), start=1):
-        assert poly.coefficients == (0,) + triangle_row(n)
+        assert poly == (0,) + triangle_row(n)
+    # the oracle runs with every row builder refused, so it reads no row
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the oracle must not build rows")
+
+    for name in ("_extend", "triangle_row", "fixed_row"):
+        monkeypatch.setattr(triangle, name, refuse)
+    oracle = list(_derivative_polynomials(40))
+    monkeypatch.undo()
+    assert oracle == [(0,) + triangle_row(n) for n in range(1, 41)]
 
 
 def test_route_check_reads_no_rows_for_its_oracle(monkeypatch):
@@ -105,7 +114,8 @@ def test_row_sums_and_value_at_one():
 def test_exact_mean_from_polynomial():
     for n in range(1, 121):
         p = descent_polynomial(n)
-        assert Fraction(p.derivative()(1), p(1)) == Fraction(2 * n + 1, 3)
+        p_prime_at_one = sum(i * c for i, c in enumerate(p.coefficients))
+        assert Fraction(p_prime_at_one, p(1)) == Fraction(2 * n + 1, 3)
 
 
 def test_wilf_identity_small_and_medium():
@@ -120,9 +130,10 @@ def test_wilf_identity_small_and_medium():
 def test_wilf_identity_order_two_expands_by_hand():
     # S(2+k, k) for k = 0..4 is 0, 1, 7, 25, 65; times (1 - x)^5 this is
     # x + 2x^2 + 0x^3 + 0x^4 up to degree 4, which is P_2 padded with zeros
-    series = IntPolynomial([0, 1, 7, 25, 65])
-    product = series * IntPolynomial([1, -5, 10, -10, 5, -1])  # (1 - x)^5
-    assert product.coefficients[:5] == (0, 1, 2, 0, 0)
+    series = [0, 1, 7, 25, 65]
+    factor = [1, -5, 10, -10, 5, -1]  # (1 - x)^5
+    product = [sum(series[j] * factor[k - j] for j in range(k + 1)) for k in range(5)]
+    assert product == [0, 1, 2, 0, 0]
     assert descent_polynomial(2) == IntPolynomial([0, 1, 2])
     assert gessel_stanley_check(2)
 
@@ -212,6 +223,13 @@ def test_mode_two_case_pattern_medium_range():
         assert report.argmax_in_predicted
         if report.mean.denominator == 1:
             assert report.argmax_indices == (int(report.mean),)
+
+
+def test_mode_is_the_integer_nearest_the_mean():
+    # ceil(2n/3) is the integer nearest the mean (2n + 1)/3; proven only for
+    # n = 1 (mod 3), where the mean is an integer (Darroch 1964)
+    for n in range(2, 3001):  # ascending, so each fixed row extends the last
+        assert locate_mode(n).argmax_indices == (-(-2 * n // 3),), n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
