@@ -186,6 +186,12 @@ def _write(out_path, text: str) -> None:
     _write_chunks(out_path, (text,))
 
 
+def _write_curve(out_path, points) -> None:
+    """A ``normality`` plot file: the ``t,density`` header, a line per point."""
+    lines = (f"{t!r},{y!r}\n" for t, y in points)
+    _write_chunks(out_path, itertools.chain(("t,density\n",), lines))
+
+
 def _write_chunks(out_path, chunks) -> None:
     """Write each chunk as it is produced; output never sits whole in memory."""
     if out_path is None:
@@ -405,22 +411,17 @@ def _cmd_normality(args) -> int:
         payload["seed"] = args.seed
     if pmf is not None:
         sigma = payload["sigma"]
-        lines = ["t,density"]
-        lines.extend(
-            f"{distribution._standardized_point(k, args.n)!r},{p * sigma!r}"
+        _write_curve(args.plot_out, (
+            (distribution._standardized_point(k, args.n), p * sigma)
             for k, p in enumerate(pmf, start=1)
-        )
-        _write(args.plot_out, "\n".join(lines) + "\n")
+        ))
     if args.plot_normal_out:
         # the outermost standardized points, values 1 and n
         lo = distribution._standardized_point(1, args.n) - 1.0
         hi = distribution._standardized_point(args.n, args.n) + 1.0
-        lines = ["t,density"]
         steps = 200
-        for k in range(steps + 1):
-            t = lo + (hi - lo) * k / steps
-            lines.append(f"{t!r},{normal_pdf(t)!r}")
-        _write(args.plot_normal_out, "\n".join(lines) + "\n")
+        ts = (lo + (hi - lo) * k / steps for k in range(steps + 1))
+        _write_curve(args.plot_normal_out, ((t, normal_pdf(t)) for t in ts))
     distances = tuple(k for k in ("ks_exact", "ks_empirical") if k in payload)
     _write_record(args, payload, _MOMENT_COLUMNS + distances)
     return 0

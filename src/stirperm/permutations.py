@@ -2,8 +2,9 @@
 
 A Stirling permutation of order n is a word of length 2n using each value
 1..n exactly twice, in which every entry lying strictly between the two
-copies of a value i is larger than i. The three statistics counted here are
-positions i = 0..2n of the word a_1...a_2n:
+copies of a value i is larger than i; ``validate_word`` checks that in one
+linear scan. The three statistics counted here are positions i = 0..2n of
+the word a_1...a_2n:
 
   ascent   i = 0, or a_i < a_(i+1)
   descent  i = 2n, or a_i > a_(i+1)
@@ -35,6 +36,7 @@ pair of every word, a whole block at a time, as lanes of one integer
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
@@ -62,9 +64,9 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 class InvalidPermutation(ValueError):
     """Rejected word; ``reason`` is 'length', 'multiset' or 'nesting'.
 
-    For nesting rejections ``value`` is the offending smaller entry found
-    strictly between the two copies of some larger value (the message names
-    both).
+    For nesting rejections ``value`` is the entry where ``validate_word``'s
+    left-to-right scan first fails, strictly between the two copies of the
+    innermost larger value open there (the message names both).
     """
 
     def __init__(self, reason: str, message: str, value: int | None = None):
@@ -101,7 +103,9 @@ class StirlingPermutation(NamedTuple):
 
 
 def validate_word(order: int, word: Sequence[int]) -> None:
-    """Raise InvalidPermutation naming the first violated condition."""
+    """Raise InvalidPermutation naming the first violated condition: length,
+    then multiset, then nesting. A nesting report names the first position
+    where the left-to-right scan fails and the innermost value open there."""
     if order < 1:
         raise InvalidPermutation("length", f"order must be >= 1, got {order}")
     if len(word) != 2 * order:
@@ -109,29 +113,26 @@ def validate_word(order: int, word: Sequence[int]) -> None:
             "length",
             f"word has length {len(word)}, expected {2 * order} for order {order}",
         )
-    counts = Counter(word)
-    expected = set(range(1, order + 1))
-    if set(counts) != expected or any(c != 2 for c in counts.values()):
+    if Counter(word) != dict.fromkeys(range(1, order + 1), 2):
         raise InvalidPermutation(
             "multiset",
             f"word is not a permutation of the multiset {{1,1,...,{order},{order}}}",
         )
-    first: dict[int, int] = {}
-    second: dict[int, int] = {}
-    for pos, v in enumerate(word):
-        if v in first:
-            second[v] = pos
+    # open values, increasing above a sentinel 0: an equal entry closes the
+    # top's pair, a larger one opens a pair, a smaller one lies inside the
+    # top's. Inner pairs open above their encloser, and a crossing leaves a
+    # larger value on top, so this accepts exactly the Stirling words.
+    stack = [0]
+    for v in word:
+        top = stack[-1]
+        if v == top:
+            stack.pop()
+        elif v > top:
+            stack.append(v)
         else:
-            first[v] = pos
-    for v in range(1, order + 1):
-        lo, hi = first[v], second[v]
-        for pos in range(lo + 1, hi):
-            if word[pos] < v:
-                raise InvalidPermutation(
-                    "nesting",
-                    f"entry {word[pos]} lies between the two copies of {v}",
-                    value=word[pos],
-                )
+            raise InvalidPermutation(
+                "nesting", f"entry {v} lies between the two copies of {top}", value=v
+            )
 
 
 def word_statistics(word: Sequence[int]) -> StatCounts:
@@ -139,8 +140,7 @@ def word_statistics(word: Sequence[int]) -> StatCounts:
     ascents = 1
     descents = 1
     plateaux = 0
-    for j in range(len(word) - 1):
-        a, b = word[j], word[j + 1]
+    for a, b in itertools.pairwise(word):
         if a < b:
             ascents += 1
         elif a > b:

@@ -10,6 +10,7 @@ appears anywhere, and every value is immutable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -20,10 +21,7 @@ def double_factorial(n: int) -> int:
     """1 * 3 * ... * (2n-1): the number of Stirling permutations of order n."""
     if n < 1:
         raise ValueError(f"order must be a positive integer, got {n}")
-    result = 1
-    for odd in range(3, 2 * n, 2):
-        result *= odd
-    return result
+    return math.prod(range(3, 2 * n, 2))
 
 
 class IntPolynomial:

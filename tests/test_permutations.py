@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -102,10 +103,60 @@ def test_enumeration_stat_sum_reverse_and_top_adjacency():
             assert word[top + 1] == n  # the two largest entries sit adjacent
 
 
+def _arrangements(n):
+    """Every distinct arrangement of {1,1,...,n,n}: the pair of positions of
+    1, then of 2 among the rest, and so on."""
+    def place(word, v):
+        if v > n:
+            yield tuple(word)
+            return
+        free = [i for i, x in enumerate(word) if x == 0]
+        for i, j in itertools.combinations(free, 2):
+            word[i] = word[j] = v
+            yield from place(word, v + 1)
+            word[i] = word[j] = 0
+    return place([0] * (2 * n), 1)
+
+
 def test_every_enumerated_word_validates():
+    # and conversely: among all arrangements exactly the enumerated words
+    # validate, and each rejection names an entry x strictly between the two
+    # copies of a larger value v
     for n in range(1, 6):
-        for word in enumerate_words(n):
-            validate_word(n, word)
+        words = set(enumerate_words(n))
+        rejected = 0
+        for word in _arrangements(n):
+            try:
+                validate_word(n, word)
+            except InvalidPermutation as exc:
+                rejected += 1
+                assert word not in words and exc.reason == "nesting"
+                x, v = exc.value, int(str(exc).rsplit(" ", 1)[1])
+                assert str(exc) == f"entry {x} lies between the two copies of {v}"
+                lo, hi = (i for i, y in enumerate(word) if y == v)
+                assert x < v and x in word[lo + 1:hi]
+            else:
+                assert word in words
+        assert rejected + len(words) == math.factorial(2 * n) >> n
+    # the scan reports the first position where it fails: entry 3 inside the
+    # open 4, not the 1 that also lies inside the 2
+    with pytest.raises(InvalidPermutation) as exc:
+        validate_word(4, (2, 4, 3, 3, 4, 1, 1, 2))
+    assert exc.value.value == 3
+    assert str(exc.value) == "entry 3 lies between the two copies of 4"
+    # one scan, not a rescan of each span: the fully nested word 1..n n..1
+    # (its own reverse) and the flat word 11 22 ... nn and its reverse
+    n = 20_000
+    nested = (*range(1, n + 1), *range(n, 0, -1))
+    flat = tuple(v for v in range(1, n + 1) for _ in range(2))
+    assert nested == nested[::-1]
+    for word in (nested, flat, flat[::-1]):
+        validate_word(n, word)
+    k = n // 2  # swap k and k + 1 inside the nest
+    swapped = nested[:k - 1] + (k + 1, k) + nested[k + 1:]
+    with pytest.raises(InvalidPermutation) as exc:
+        validate_word(n, swapped)
+    assert exc.value.reason == "nesting" and exc.value.value == k
 
 
 def test_reverse_is_valid_permutation():
