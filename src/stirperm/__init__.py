@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 #: Each public name, grouped by the submodule that defines it
 _NAMES_BY_MODULE = {
     "distribution": (
-        "Moments", "PlateauIndicator", "indicator_pair_step_checks",
-        "ks_distance_empirical", "ks_distance_exact", "moments_exact",
-        "plateau_probability", "sample_statistic_histogram",
-        "second_moments_by_recurrence", "sum_identity_check",
+        "Moments", "indicator_pair_step_checks", "ks_distance_empirical",
+        "ks_distance_exact", "moments_exact", "plateau_probability",
+        "sample_statistic_histogram", "second_moments_by_recurrence",
+        "sum_identity_check",
     ),
     "permutations": (
         "InvalidPermutation", "MAX_ENUMERATION_ORDER", "ResourceLimitExceeded",

@@ -80,6 +80,12 @@ ROOTS_WIDTH_FLOOR = Fraction(1, 2**64)
 #: 1.55-1.79 s; 20 samples: 2.87-3.18 s); time and memory grow linearly in the
 #: order.
 SAMPLING_ORDER_CAP = 1_000_000
+#: ``normality --samples`` refuses more sample-steps, samples times the order;
+#: the library functions take any count. At the cap, cold, ``--n 2`` takes
+#: 14-16 s, ``--n 1000`` 9.9 s and ``--n 1000000`` 12.4 s, with at most 31 MiB
+#: peak RSS (``roots --n 300 --interlace``: 16.3 s, run alongside); memory
+#: does not grow with the samples.
+SAMPLING_WORK_CAP = 10**8
 #: ``sample --n 200000 --count 1`` takes 5.6 s with 56 MiB peak RSS (100000:
 #: 1.5 s, 36 MiB); each word costs about n^2 element moves.
 SAMPLE_ORDER_CAP = 200_000
@@ -397,6 +403,10 @@ def _cmd_normality(args) -> int:
         _refuse_above(args.n, EXACT_DISTANCE_ORDER_CAP, "exact distance or --plot-out")
     if args.samples is not None:
         _refuse_above(args.n, SAMPLING_ORDER_CAP, "Monte-Carlo distance")
+        if args.samples * args.n > SAMPLING_WORK_CAP:
+            raise ResourceLimitExceeded(
+                f"Monte-Carlo distance refused above {SAMPLING_WORK_CAP:,} samples x order"
+            )
     payload = _moments_payload(args.n)
     # built first, so that the row it reads, fixed-point or the exact
     # fallback, serves the distance too

@@ -121,17 +121,9 @@ def brute_force_moments(n: int) -> tuple[Fraction, Fraction]:
 
 # --- plateau indicator variables --------------------------------------------
 
-class PlateauIndicator(NamedTuple):
+def plateau_probability(n: int, value: int) -> Fraction:
     """Probability that the two copies of ``value`` sit adjacent in a
-    uniform order-n permutation."""
-
-    order: int
-    value: int
-    probability: Fraction
-
-
-def plateau_probability(n: int, value: int) -> PlateauIndicator:
-    """Exact adjacency probability from the telescoping product
+    uniform order-n permutation, exact from the telescoping product
 
         P(copies of n-i adjacent) = prod_(j=1..i) (2n - 2j) / (2n - 2j + 1),
 
@@ -143,7 +135,7 @@ def plateau_probability(n: int, value: int) -> PlateauIndicator:
     prob = Fraction(1)
     for j in range(1, n - value + 1):
         prob *= Fraction(2 * n - 2 * j, 2 * n - 2 * j + 1)
-    return PlateauIndicator(n, value, prob)
+    return prob
 
 
 def sum_identity_check(n: int) -> bool:

@@ -3,9 +3,10 @@
 ``IntPolynomial`` holds canonical integer coefficients and answers what the
 root certifier and ``poly --eval`` ask of them: the degree, exact Horner
 evaluation at int and ``fractions.Fraction`` points, and the exact sign at a
-dyadic point. It has no ring arithmetic; the oracles that build polynomials
-by a recurrence do so on coefficient tuples of their own. No floating point
-appears anywhere, and every value is immutable.
+dyadic point by two loops, integer points through ``__call__``. It has no
+ring arithmetic; the oracles that build polynomials by a recurrence do so on
+coefficient tuples of their own. No floating point appears anywhere, and
+every value is immutable.
 """
 
 from __future__ import annotations
@@ -71,20 +72,16 @@ class IntPolynomial:
         """Exact sign of the value at the dyadic numerator / 2^shift.
 
         Homogeneous Horner in integers: the value times 2^(shift * d), d the
-        degree. One of three loops is chosen from the point. At -1 / 2^shift
-        the reversed polynomial is taken at -2^shift, so each step is one
-        shift and one subtraction; at an integer point nothing is shifted; at
-        any other point the term of x^i is shifted left by shift * (d - i)
-        bits. The only multiplications are the accumulator's by the
-        numerator. Other rationals go through ``__call__``.
+        degree. Two loops, integer points through ``__call__``. At
+        -1 / 2^shift the reversed polynomial is taken at -2^shift, so each
+        step is one shift and one subtraction; at any other point with a
+        shift the term of x^i is shifted left by shift * (d - i) bits. The
+        only multiplications are the accumulator's by the numerator. Other
+        rationals go through ``__call__`` too.
         """
         if shift < 0:
             raise ValueError("shift must be non-negative")
         coeffs = self._coeffs
-        if not coeffs:
-            return 0
-        terms = reversed(coeffs)
-        acc = next(terms)
         if numerator == -1:
             # 2^(sd) P(-2^-s) = (-1)^d R(-2^s), R(y) = y^d P(1/y): Horner on R
             # reads the coefficients from c_0 up
@@ -94,13 +91,14 @@ class IntPolynomial:
             if len(coeffs) % 2 == 0:
                 acc = -acc
         elif shift:
+            terms = reversed(coeffs)
+            acc = next(terms, 0)
             bits = 0
             for c in terms:
                 bits += shift
                 acc = acc * numerator + (c << bits)
         else:
-            for c in terms:
-                acc = acc * numerator + c
+            acc = self(numerator)
         return (acc > 0) - (acc < 0)
 
     def __repr__(self) -> str:

@@ -680,10 +680,13 @@ def _refuse_all_work(*args, **kwargs):
          ["triangle_row", "fixed_row"]),
         ("SAMPLING_ORDER_CAP",
          ["normality", "--no-exact", "--samples", "10", "--seed", "1", "--n"], []),
+        # samples x order above its cap, at the smallest order
+        ("SAMPLING_WORK_CAP",
+         ["normality", "--no-exact", "--seed", "1", "--n", "2", "--samples"], []),
         ("SAMPLE_ORDER_CAP", ["sample", "--count", "3", "--seed", "1", "--n"], []),
     ],
     ids=["poly", "triangle", "mode", "normality", "normality-plot",
-         "normality-samples", "sample"],
+         "normality-samples", "normality-work", "sample"],
 )
 def test_order_caps_refuse_before_work(capsys, monkeypatch, cap, argv, work):
     from stirperm import cli

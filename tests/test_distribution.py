@@ -77,9 +77,9 @@ def test_variance_identity_and_growth():
 
 
 def test_plateau_probability_examples():
-    assert plateau_probability(5, 5).probability == 1
-    assert plateau_probability(2, 1).probability == Fraction(2, 3)
-    assert plateau_probability(3, 1).probability == Fraction(4, 5) * Fraction(2, 3)
+    assert plateau_probability(5, 5) == 1
+    assert plateau_probability(2, 1) == Fraction(2, 3)
+    assert plateau_probability(3, 1) == Fraction(4, 5) * Fraction(2, 3)
     with pytest.raises(ValueError):
         plateau_probability(3, 4)
     with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ def test_plateau_probability_against_enumeration():
     for n in range(1, 7):
         singles, _ = indicator_expectations(n)
         for value in range(1, n + 1):
-            assert plateau_probability(n, value).probability == singles[value]
+            assert plateau_probability(n, value) == singles[value]
 
 
 def test_indicator_expectations_match_a_per_word_adjacency_scan():
@@ -120,7 +120,7 @@ def test_adjacency_count_of_smallest_value_in_order_three():
         if any(w[j] == w[j + 1] == 1 for j in range(5))
     )
     assert adjacent == 8
-    assert plateau_probability(3, 1).probability == Fraction(8, 15)
+    assert plateau_probability(3, 1) == Fraction(8, 15)
 
 
 def test_sum_identity_small_and_large():

@@ -284,16 +284,22 @@ def test_order_eight_oracle_matches_the_recurrence_row():
 
 
 def test_oracle_suites_walk_each_order_once(monkeypatch):
-    from stirperm import permutations, verify
+    from stirperm import distribution, permutations, verify
 
-    walks = Counter()
+    walks, moments = Counter(), Counter()
     real = permutations._word_blocks
+    real_moments = distribution.moments_exact
 
     def counting(n):
         walks[n] += 1
         return real(n)
 
+    def counting_moments(n):
+        moments[n] += 1
+        return real_moments(n)
+
     monkeypatch.setattr(permutations, "_word_blocks", counting)
+    monkeypatch.setattr(distribution, "moments_exact", counting_moments)
     enumeration_census.cache_clear()
     try:
         for suite in ("triangle", "moments", "identities"):
@@ -301,6 +307,8 @@ def test_oracle_suites_walk_each_order_once(monkeypatch):
     finally:
         enumeration_census.cache_clear()
     assert walks and max(walks.values()) == 1, walks
+    # the moments suite reads each order's closed forms once
+    assert moments and max(moments.values()) == 1, moments
 
 
 def test_sampler_is_deterministic_and_valid():

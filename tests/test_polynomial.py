@@ -85,6 +85,12 @@ def test_sign_at_matches_eval():
         assert _Q.sign_at(num, shift=shift) == _sign(value), (num, shift)
     for num, shift in ((-3, 3), (-3 * 2**40, 43), (-6, 4)):  # lowest terms or not
         assert _Q.sign_at(num, shift=shift) == 0, (num, shift)
+    r = IntPolynomial(_product([2, 1], _TAIL))  # an exact integer root at -2
+    for num in (-3, -2, -1, 0, 1, 5):
+        assert r.sign_at(num, shift=0) == _sign(r(num)), num
+    assert r.sign_at(-2, shift=0) == 0
+    for num, shift in ((-1, 0), (-1, 4), (3, 2), (4, 0)):  # each loop, zero polynomial
+        assert IntPolynomial().sign_at(num, shift=shift) == 0
 
 
 def test_eval_is_exact_at_odd_denominators():

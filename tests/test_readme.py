@@ -29,6 +29,7 @@ _CAP_PHRASES = {
     "MODE_ORDER_CAP": "`mode` {}",
     "EXACT_DISTANCE_ORDER_CAP": "`normality` {} with the exact distance",
     "SAMPLING_ORDER_CAP": "{} with `--samples`",
+    "SAMPLING_WORK_CAP": "`--samples` times the order at most {}",
     "SAMPLE_ORDER_CAP": "`sample` {}",
 }
 
@@ -36,7 +37,7 @@ _CAP_PHRASES = {
 def test_readme_names_every_cap_value():
     from stirperm import cli
 
-    caps = {name for name in vars(cli) if name.endswith("_ORDER_CAP") and name[0] != "_"}
+    caps = {name for name in vars(cli) if name.endswith("_CAP") and name[0] != "_"}
     assert caps == set(_CAP_PHRASES)
     text = " ".join(_README.read_text().split())
     start = text.index("A refusal happens before any work")
